@@ -150,13 +150,47 @@ def identity_ptm(n: int) -> TransferMatrix:
 
 
 def verify_decomposition(d: Decomposition) -> float:
-    """Max-abs residual of sum_i c_i PTM(E_i) against the identity matrix."""
+    """Max-abs residual of sum_i c_i PTM(E_i) against the identity matrix.
+
+    The weighted sum of per-term outer products is one real matrix product:
+    the Pauli vectors of every prep form a 4^n x T matrix, those of every
+    effect, scaled by c_i * a, a T x 4^n matrix, where T is the total term
+    count.  A channel whose vectors have imaginary parts also appends rows
+    (Im prep, -Im effect) to both stacks, so the real part stays exact; its
+    own transfer matrix's imaginary part Re(P)^T Im(E) + Im(P)^T Re(E) must
+    stay within 1e-12, as :func:`ptm` requires, or NumericFailureError is
+    raised.  Memory is two 4^n x T float64 stacks (about 8.6 MB each for mub
+    at n = 5, T = 1056) plus the 4^n x 4^n product.
+    """
     if d.n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"verification capped at {MAX_PTM_QUBITS} qubits")
-    total = np.zeros((4**d.n, 4**d.n))
+    # Filled in place: collecting per-channel blocks and concatenating them
+    # would hold every stack twice at the peak.
+    rows = sum(len(ch.terms) for _, ch in d.channels)
+    preps = np.empty((rows, 4**d.n))
+    effects = np.empty((rows, 4**d.n))
+    imag_preps, imag_effects = [], []
+    start = 0
     for c, ch in d.channels:
-        total += float(c) * ptm(ch).entries
-    return float(np.max(np.abs(total - np.eye(4**d.n))))
+        stop = start + len(ch.terms)
+        signs = np.array([t.a for t in ch.terms], dtype=float)[:, None]
+        p = pauli_vector(np.stack([t.prep for t in ch.terms]), d.n)
+        e = pauli_vector(np.stack([t.effect for t in ch.terms]), d.n) * signs
+        weight = float(c)
+        preps[start:stop] = p.real
+        effects[start:stop] = weight * e.real
+        if p.imag.any() or e.imag.any():
+            if np.max(np.abs(p.real.T @ e.imag + p.imag.T @ e.real)) > 1e-12:
+                raise NumericFailureError("transfer matrix has a non-real residue")
+            imag_preps.append(p.imag)
+            imag_effects.append(-weight * e.imag)
+        start = stop
+    if imag_preps:
+        preps = np.concatenate([preps, *imag_preps])
+        effects = np.concatenate([effects, *imag_effects])
+    total = preps.T @ effects
+    total[np.diag_indices_from(total)] -= 1.0
+    return float(np.max(np.abs(total)))
 
 
 def rank_bound_check(target: TransferMatrix, n: int) -> int:

@@ -21,7 +21,6 @@ from .channels import (
     load_decomposition,
     verify_decomposition,
 )
-from .errors import InvalidInputError
 from .costs import (
     TimeModelParams,
     gate_count_bench,
@@ -30,7 +29,7 @@ from .costs import (
     overhead_table,
     predict_time,
 )
-from .errors import WirecutError
+from .errors import InvalidInputError, WirecutError
 from .estimator import load_circuit, load_cuts, exact_expectation, run_monte_carlo
 from .families import generate_partition, validate_partition
 from .synth import gate_stats, synthesize, verify_diagonalizes, verify_diagonalizes_symplectic

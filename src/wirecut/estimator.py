@@ -369,6 +369,9 @@ def run_monte_carlo(
         raise InvalidInputError("need at least one shot")
     if not cuts.locations:
         raise InvalidInputError("no cut locations; use exact_expectation instead")
+    # Philox keys are 128-bit unsigned integers
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise InvalidInputError(f"seed {seed!r} must be an integer in [0, 2^128)")
     engine = _CutEngine(circuit, cuts, f)
     u = _uniforms(seed, shots, len(engine.locations))
     paths = np.zeros(shots, dtype=np.int64)  # index into path_list

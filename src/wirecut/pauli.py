@@ -194,18 +194,22 @@ def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
 
     sigma_k runs over the 4^n strings in :func:`pauli_index` order, each
     normalized by 2^(-n/2) so the basis is orthonormal under the
-    Hilbert-Schmidt inner product.
+    Hilbert-Schmidt inner product.  A stack of shape (..., 2^n, 2^n) gives
+    one vector per matrix, shape (..., 4^n), each equal bit for bit to the
+    single-matrix call.
     """
-    if mat.shape != (2**n, 2**n):
+    if mat.shape[-2:] != (2**n, 2**n):
         raise InvalidInputError("matrix shape does not match qubit count")
-    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
-    # After q contractions the axes are (p_1..p_q, r_(q+1)..r_n, c_(q+1)..c_n).
+    lead = mat.shape[:-2]
+    b = len(lead)
+    t = np.asarray(mat, dtype=complex).reshape(lead + (2,) * (2 * n))
+    # After q contractions the axes are (lead, p_1..p_q, r_(q+1)..r_n, c_(q+1)..c_n).
     # Tr[S A] = sum S[r, c] A[c, r], so sigma's row index pairs with A's column.
     for q in range(n):
         rows_left = n - q
-        t = np.tensordot(t, _SIG, axes=([q, q + rows_left], [2, 1]))
-        t = np.moveaxis(t, -1, q)
-    return t.reshape(-1) * 2.0 ** (-n / 2)
+        t = np.tensordot(t, _SIG, axes=([b + q, b + q + rows_left], [2, 1]))
+        t = np.moveaxis(t, -1, b + q)
+    return t.reshape(lead + (4**n,)) * 2.0 ** (-n / 2)
 
 
 class BinaryMatrix:

@@ -29,6 +29,7 @@ from wirecut.dense import basis_state
 from wirecut.errors import (
     DesignViolationError,
     InvalidInputError,
+    NumericFailureError,
     ResourceLimitError,
 )
 from wirecut.families import generate_partition
@@ -83,6 +84,43 @@ class TestPtm:
         ch = MPChannel(7, (ChannelTerm(1, ident, projector(basis_state(0, dim))),))
         with pytest.raises(ResourceLimitError):
             ptm(ch)
+
+
+def _reference_residual(d):
+    """max |sum c PTM - I| through the sum-of-outer-products ptm()."""
+    total = sum(float(c) * ptm(ch).entries for c, ch in d.channels)
+    return float(np.max(np.abs(total - np.eye(4**d.n))))
+
+
+class TestVerifyDecomposition:
+    @pytest.mark.parametrize(
+        "method, n",
+        [("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1),
+         ("teleport", 2), ("mub", 1), ("mub", 2), ("mub", 3), ("mub", 4)],
+    )
+    def test_matches_reference_sum(self, method, n):
+        d = build_decomposition(method, n)
+        assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
+
+    def test_perturbed_weight_matches_reference(self):
+        channels = list(build_peng_1q().channels)
+        c3, ch3 = channels[2]
+        channels[2] = (float(c3) + 0.01, ch3)
+        bad = Decomposition(1, tuple(channels), "peng-perturbed")
+        residual = verify_decomposition(bad)
+        assert abs(residual - _reference_residual(bad)) <= 1e-12
+        assert residual >= 0.005
+
+    def test_non_real_residue_raises(self):
+        # i*X is anti-hermitian; at 3e-11 it passes the 1e-10 hermitian check
+        # but leaves an imaginary transfer-matrix entry of about 3e-11.
+        eps_ix = 3e-11j * np.array([[0, 1], [1, 0]])
+        k0, k1 = projector(basis_state(0, 2)), projector(basis_state(1, 2))
+        ch = MPChannel(1, (ChannelTerm(1, k0 + eps_ix, k0), ChannelTerm(1, k1 - eps_ix, k1)))
+        with pytest.raises(NumericFailureError, match="non-real residue"):
+            ptm(ch)
+        with pytest.raises(NumericFailureError, match="non-real residue"):
+            verify_decomposition(Decomposition(1, ((Fraction(1), ch),), "non-real"))
 
 
 class TestPeng:

@@ -171,6 +171,20 @@ class TestExactAndEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_exit_2(self, capsys, seed):
+        code, _, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / "demo_circuit.json"),
+            "--cuts", str(DEMOS / "demo_cut.json"),
+            "--shots", "10",
+            "--seed", seed,
+        )
+        assert code == 2
+        assert f"seed {seed}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "exact", "--circuit", "no_such_file.json")
         assert code == 2

@@ -186,6 +186,24 @@ class TestPauliVector:
             slow = np.trace(to_dense(p) @ mat) * 2.0 ** (-n / 2)
             np.testing.assert_allclose(fast[k], slow, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_stack_matches_single_calls_bitwise(self, n, lead):
+        rng = np.random.default_rng(10 * n + len(lead))
+        shape = lead + (2**n, 2**n)
+        mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stacked = pauli_vector(mats, n)
+        assert stacked.shape == lead + (4**n,)
+        for idx in np.ndindex(lead):
+            assert stacked[idx].tobytes() == pauli_vector(mats[idx], n).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (3, 4, 8), (4, 4, 2), (4,), (2, 3, 4, 2)]
+    )
+    def test_wrong_trailing_shape_rejected(self, shape):
+        with pytest.raises(InvalidInputError):
+            pauli_vector(np.zeros(shape, dtype=complex), 2)
+
     def test_index_round_trip(self):
         for n in (1, 2, 3):
             for k in range(4**n):
