@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import H_1Q, S_1Q, basis_state, is_unitary
+from .dense import H_1Q, S_1Q, basis_state, is_unitary, parity
 from .errors import (
     DesignViolationError,
     InvalidInputError,
@@ -429,7 +429,7 @@ def build_teleport_nq(n: int) -> Decomposition:
         bell_mats.append(mat)
         # correction V_mu = prod Z^a X^b on the receiving qubits (global phase free)
         idx = np.arange(dim)
-        signs = np.where(_popcount_parity(idx & z_mask), -1.0, 1.0)
+        signs = np.where(parity(idx & z_mask), -1.0, 1.0)
         corr = np.zeros((dim, dim), dtype=complex)
         corr[idx ^ x_mask, idx] = signs
         corrections.append(corr)
@@ -454,13 +454,6 @@ def build_teleport_nq(n: int) -> Decomposition:
                 terms.append(ChannelTerm(1, _proj(v), _proj(w)))
             channels.append((Fraction(-1, dim), MPChannel(n, tuple(terms))))
     return Decomposition(n, tuple(channels), "teleport")
-
-
-def _popcount_parity(values: np.ndarray) -> np.ndarray:
-    out = values.astype(np.int64)
-    for shift in (16, 8, 4, 2, 1):
-        out ^= out >> shift
-    return out & 1
 
 
 def tensor_decompositions(d1: Decomposition, d2: Decomposition) -> Decomposition:

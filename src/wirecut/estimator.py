@@ -12,9 +12,18 @@ expectation.
 
 Only the classical record (channel index, outcome, prepared label) crosses
 a cut; the severed wires' quantum state is rebuilt from that record alone.
-Shots consume a fixed layout of uniforms from a counter-based generator
-keyed by the seed, so results are reproducible and independent of how the
-shot loop is batched.
+
+Each shot consumes one row of 3L + 1 uniforms (channel, outcome and prep
+per cut location, then the terminal outcome) from a Philox generator keyed
+by the seed.  The rows are drawn in chunks of CHUNK_SHOTS; successive
+draws continue one counter stream, so a chunk holds exactly the rows a
+single shots x (3L + 1) draw would, and memory stays flat in the shot
+count.  Within a chunk, each cut level regroups its shots by one sort on
+the packed key (lattice node, channel): one pass per group draws outcomes
+and preps from that node's cached distributions and maps each distinct
+(outcome, prep) to its child node.  A last grouping by leaf node draws the
+terminal outcomes.  A shot's value depends only on its own
+uniforms, so results are reproducible and independent of the chunk size.
 """
 
 from __future__ import annotations
@@ -27,11 +36,14 @@ import numpy as np
 
 from . import dense
 from .channels import Decomposition, MPChannel
-from .errors import InvalidInputError, NumericFailureError, ResourceLimitError
+from .errors import InvalidInputError, NumericFailureError, ResourceLimitError, WirecutError
 
 MAX_SIM_QUBITS = 12
 PROB_FLOOR = -1e-9
 MAX_TRAJECTORY_NODES = 1 << 18
+# a conditioned state below this norm came from a zero-probability outcome
+MIN_RESIDUAL_NORM = 1e-15
+CHUNK_SHOTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +120,7 @@ class PostProcess:
 
     @classmethod
     def parity(cls, width: int) -> "PostProcess":
-        idx = np.arange(2**width)
-        bits = idx
-        for shift in (16, 8, 4, 2, 1):
-            bits = bits ^ (bits >> shift)
-        return cls(width, np.where(bits & 1, -1.0, 1.0), "parity")
+        return cls(width, np.where(dense.parity(np.arange(2**width)), -1.0, 1.0), "parity")
 
     @classmethod
     def bit(cls, k: int, width: int) -> "PostProcess":
@@ -226,17 +234,22 @@ class _RealizedLocation:
         d = loc.decomposition
         self.first = loc.first_wire
         self.span = d.n
-        if loc.first_wire + d.n - 1 > width:
-            raise InvalidInputError("cut wires exceed circuit width")
+        if loc.first_wire < 1 or loc.first_wire + d.n - 1 > width:
+            raise InvalidInputError("cut wires lie outside the circuit")
         self.gamma = float(d.gamma)
         self.channel_cum = np.cumsum(d.probabilities)
         self.channel_cum[-1] = 1.0
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
         # flattened outcome list per channel: (term_idx, a, component vector)
         self.outcomes: list[list[tuple[int, int, np.ndarray]]] = []
-        # per channel, per term: prep realization and cumulative probabilities
+        # per channel, per term: prep realization
         self.preps: list[list[list[tuple[float, int | None, np.ndarray]]]] = []
-        self.prep_cum: list[list[np.ndarray]] = []
+        # per channel: each outcome's sign a, and its prep's cumulative
+        # probabilities as one row of an inf-padded (outcomes x max preps)
+        # table, with the unpadded row lengths
+        self.outcome_signs: list[np.ndarray] = []
+        self.prep_cums: list[np.ndarray] = []
+        self.prep_counts: list[np.ndarray] = []
         for _, ch in d.channels:
             outs = []
             for t_idx, term in enumerate(ch.terms):
@@ -251,7 +264,13 @@ class _RealizedLocation:
                 cum = np.cumsum(probs / probs.sum())
                 cum[-1] = 1.0
                 cums.append(cum)
-            self.prep_cum.append(cums)
+            counts = np.array([len(cums[t_idx]) for t_idx, _, _ in outs], dtype=np.int64)
+            table = np.full((len(outs), max(len(c) for c in cums)), np.inf)
+            for o_idx, (t_idx, _, _) in enumerate(outs):
+                table[o_idx, : counts[o_idx]] = cums[t_idx]
+            self.outcome_signs.append(np.array([a for _, a, _ in outs], dtype=np.float64))
+            self.prep_cums.append(table)
+            self.prep_counts.append(counts)
 
 
 class _CutEngine:
@@ -326,7 +345,7 @@ class _CutEngine:
         self.outcome_cum(path, chan)  # ensure residual cached
         amp = self._residuals[path + (chan, outcome)]
         norm = np.linalg.norm(amp)
-        if norm < 1e-15:
+        if norm < MIN_RESIDUAL_NORM:
             raise NumericFailureError("conditioned on a zero-probability outcome")
         rest = amp / norm
         chi = loc.preps[chan][loc.outcomes[chan][outcome][0]][prep][2]
@@ -351,10 +370,67 @@ class _CutEngine:
         return out
 
 
-def _uniforms(seed: int, shots: int, n_locations: int) -> np.ndarray:
-    """Fixed per-shot uniform layout: 3 columns per location plus one for y."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((shots, 3 * n_locations + 1))
+def _groups(keys: np.ndarray):
+    """(key, rows) per distinct key, ascending, from one sort of `keys`.
+
+    The order of rows within a group is arbitrary: a shot's result depends
+    only on its own uniforms, and the unstable sort is the fast one.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    ends = np.append(starts[1:], len(keys))
+    for key, lo, hi in zip(ordered[starts].tolist(), starts.tolist(), ends.tolist()):
+        yield key, order[lo:hi]
+
+
+def _sample_chunk(
+    engine: _CutEngine, u: np.ndarray, tallies: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and terminal outcomes of the shots whose uniform rows are `u`.
+
+    Adds each location's channel counts to `tallies`.  Node ids index this
+    chunk's per-level path list, so the packed (node, channel) key stays
+    below chunk size x channel count.
+    """
+    k = len(u)
+    nodes = np.zeros(k, dtype=np.int64)
+    paths: list[tuple] = [()]
+    signs = np.ones(k)
+    for l_idx, loc in enumerate(engine.locations):
+        u_out, u_prep = u[:, 3 * l_idx + 1], u[:, 3 * l_idx + 2]
+        m = len(loc.signs)
+        chan = np.searchsorted(loc.channel_cum, u[:, 3 * l_idx], side="right")
+        chan = np.minimum(chan, m - 1)
+        tallies[l_idx] += np.bincount(chan, minlength=m)
+        factors = np.empty(k)
+        children = np.empty(k, dtype=np.int64)
+        child_paths: list[tuple] = []
+        for key, rows in _groups(nodes * m + chan):
+            path, c = paths[key // m], key % m
+            cum = engine.outcome_cum(path, c)
+            out = np.minimum(np.searchsorted(cum, u_out[rows], side="right"), len(cum) - 1)
+            # each shot counts its outcome's table entries <= u, which is what
+            # searchsorted(side="right") returns; the inf padding never counts
+            table = loc.prep_cums[c]
+            prep = (u_prep[rows, None] >= table[out]).sum(axis=1)
+            prep = np.minimum(prep, loc.prep_counts[c][out] - 1)
+            factors[rows] = loc.signs[c] * loc.outcome_signs[c][out]
+            # (outcome, prep) packs into an index of this channel's prep table,
+            # so counting the packed values numbers the distinct pairs in order
+            width = table.shape[1]
+            packed = out * width + prep
+            present = np.bincount(packed, minlength=table.size) > 0
+            children[rows] = len(child_paths) + (np.cumsum(present) - 1)[packed]
+            for pair in np.flatnonzero(present).tolist():
+                child_paths.append(engine.child(path, c, *divmod(pair, width)))
+        signs *= factors
+        nodes, paths = children, child_paths
+    y = np.empty(k, dtype=np.int64)
+    for node, rows in _groups(nodes):
+        cum, _ = engine.final_dist(paths[node])
+        y[rows] = np.minimum(np.searchsorted(cum, u[rows, -1], side="right"), len(cum) - 1)
+    return signs, y
 
 
 def run_monte_carlo(
@@ -373,58 +449,14 @@ def run_monte_carlo(
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise InvalidInputError(f"seed {seed!r} must be an integer in [0, 2^128)")
     engine = _CutEngine(circuit, cuts, f)
-    u = _uniforms(seed, shots, len(engine.locations))
-    paths = np.zeros(shots, dtype=np.int64)  # index into path_list
-    path_list: list[tuple] = [()]
-    signs = np.ones(shots, dtype=np.float64)
-    tallies = []
-    for l_idx, loc in enumerate(engine.locations):
-        chan = np.searchsorted(loc.channel_cum, u[:, 3 * l_idx], side="right")
-        chan = np.minimum(chan, len(loc.signs) - 1)
-        tallies.append(tuple(np.bincount(chan, minlength=len(loc.signs)).tolist()))
-        new_paths = np.zeros(shots, dtype=np.int64)
-        new_list: list[tuple] = []
-        new_index: dict[tuple, int] = {}
-        for node_id in np.unique(paths):
-            node_mask = paths == node_id
-            path = path_list[node_id]
-            for c in np.unique(chan[node_mask]):
-                mask = node_mask & (chan == c)
-                cum = engine.outcome_cum(path, int(c))
-                out_idx = np.searchsorted(cum, u[mask, 3 * l_idx + 1], side="right")
-                out_idx = np.minimum(out_idx, len(cum) - 1)
-                sub_signs = np.empty(out_idx.shape)
-                sub_paths = np.empty(out_idx.shape, dtype=np.int64)
-                for o in np.unique(out_idx):
-                    omask = out_idx == o
-                    term_idx, a, _ = loc.outcomes[int(c)][int(o)]
-                    pcum = loc.prep_cum[int(c)][term_idx]
-                    uu = u[mask, 3 * l_idx + 2][omask]
-                    p_idx = np.minimum(
-                        np.searchsorted(pcum, uu, side="right"), len(pcum) - 1
-                    )
-                    child_ids = np.empty(p_idx.shape, dtype=np.int64)
-                    for p in np.unique(p_idx):
-                        key = engine.child(path, int(c), int(o), int(p))
-                        if key not in new_index:
-                            new_index[key] = len(new_list)
-                            new_list.append(key)
-                        child_ids[p_idx == p] = new_index[key]
-                    sub_paths[omask] = child_ids
-                    sub_signs[omask] = a
-                signs[mask] *= loc.signs[int(c)] * sub_signs
-                new_paths[mask] = sub_paths
-        paths = new_paths
-        path_list = new_list
-    # terminal sampling
-    y = np.zeros(shots, dtype=np.int64)
-    for node_id in np.unique(paths):
-        mask = paths == node_id
-        cum, _ = engine.final_dist(path_list[node_id])
-        y[mask] = np.minimum(
-            np.searchsorted(cum, u[mask, -1], side="right"), len(cum) - 1
-        )
-    values = engine.gamma_total * signs * f.table[y]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    columns = 3 * len(engine.locations) + 1
+    tallies = [np.zeros(len(loc.signs), dtype=np.int64) for loc in engine.locations]
+    values = np.empty(shots)
+    for lo in range(0, shots, CHUNK_SHOTS):
+        hi = min(lo + CHUNK_SHOTS, shots)
+        signs, y = _sample_chunk(engine, gen.random((hi - lo, columns)), tallies)
+        values[lo:hi] = engine.gamma_total * signs * f.table[y]
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else float("inf")
     return EstimateReport(
@@ -433,7 +465,7 @@ def run_monte_carlo(
         gamma_total=engine.gamma_total,
         std_error=std_error,
         seed=seed,
-        tallies=tuple(tallies),
+        tallies=tuple(tuple(t.tolist()) for t in tallies),
     )
 
 
@@ -459,7 +491,10 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
             cum = engine.outcome_cum(path, c)
             out_probs = np.diff(cum, prepend=0.0)
             for o, (term_idx, a, _) in enumerate(loc.outcomes[c]):
-                if out_probs[o] <= 0:
+                # rounding in the cumulative table can leave a sliver of mass on
+                # an outcome whose conditioned state is zero; it contributes nothing
+                amp = engine._residuals[path + (c, o)]
+                if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
                     continue
                 comps = loc.preps[c][term_idx]
                 qs = np.array([q for q, _, _ in comps])
@@ -534,28 +569,100 @@ def circuit_to_json(circuit: LayeredCircuit, f: PostProcess) -> dict:
     return out
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a parsed JSON object; `where` prefixes the field name."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where.rstrip('.') or 'top level'} must be a JSON object")
+    if key not in obj:
+        raise InvalidInputError(f"missing field {where}{key}")
+    return obj[key]
+
+
+def _int_field(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"field {where}{key} must be an integer")
+    return value
+
+
+def _list_field(obj, key: str, where: str) -> list:
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise InvalidInputError(f"field {where}{key} must be a list")
+    return value
+
+
+def _range_field(obj, key: str, where: str) -> list[int]:
+    """A non-empty list of contiguous ascending 1-based indices (qubits or wires)."""
+    value = _list_field(obj, key, where)
+    if (
+        not value
+        or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+        or value != list(range(value[0], value[0] + len(value)))
+        or value[0] < 1
+    ):
+        raise InvalidInputError(
+            f"field {where}{key} must be a non-empty list of contiguous ascending "
+            "integers from 1"
+        )
+    return value
+
+
 def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
+    """Circuit and postprocess from the JSON circuit format.
+
+    Malformed input raises InvalidInputError naming the field; the width is
+    checked against MAX_SIM_QUBITS before anything of size 2^width exists.
+    """
     from .channels import _matrix_from_json
 
-    width = int(data["width"])
+    width = _int_field(data, "width", "")
+    if not 1 <= width <= MAX_SIM_QUBITS:
+        raise InvalidInputError(f"field width must lie in [1, {MAX_SIM_QUBITS}], got {width}")
     layers = []
-    for entry in data["layers"]:
-        qubits = [int(q) for q in entry["qubits"]]
-        if qubits != list(range(qubits[0], qubits[0] + len(qubits))):
-            raise InvalidInputError("layer qubits must be contiguous and ascending")
-        layers.append(CircuitLayer(qubits[0], _matrix_from_json(entry["matrix"])))
+    for i, entry in enumerate(_list_field(data, "layers", "")):
+        where = f"layers[{i}]."
+        qubits = _range_field(entry, "qubits", where)
+        if qubits[-1] > width:
+            raise InvalidInputError(f"field {where}qubits must lie in [1, {width}]")
+        dim = 2 ** len(qubits)
+        try:
+            matrix = _matrix_from_json(_field(entry, "matrix", where))
+        except (TypeError, ValueError):
+            matrix = None
+        if matrix is None or matrix.shape != (dim, dim):
+            raise InvalidInputError(
+                f"field {where}matrix must be a {dim} x {dim} matrix of [re, im] pairs"
+            )
+        layers.append(CircuitLayer(qubits[0], matrix))
     circuit = LayeredCircuit(width, tuple(layers))
     spec = data.get("f", "parity")
     if spec == "table":
-        f = PostProcess.from_spec(data["table"], width)
+        spec, key = _field(data, "table", ""), "table"
     else:
+        key = "f"
+    try:
         f = PostProcess.from_spec(spec, width)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"field {key}: {exc}") from None
     return circuit, f
 
 
-def load_circuit(path) -> tuple[LayeredCircuit, PostProcess]:
+def _load_json(path, parse):
+    """parse() of the JSON document in the file at `path`; errors name the file."""
     with open(path) as fh:
-        return circuit_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
+            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return parse(data)
+    except WirecutError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def load_circuit(path) -> tuple[LayeredCircuit, PostProcess]:
+    return _load_json(path, circuit_from_json)
 
 
 def save_circuit(circuit: LayeredCircuit, f: PostProcess, path) -> None:
@@ -566,17 +673,14 @@ def save_circuit(circuit: LayeredCircuit, f: PostProcess, path) -> None:
 def cuts_from_json(data: dict, builder: Callable[[int], Decomposition]) -> CutSpec:
     """Attach decompositions (per wire-set width) to the JSON cut locations."""
     locations = []
-    for entry in data["locations"]:
-        wires = [int(w) for w in entry["wires"]]
-        if wires != list(range(wires[0], wires[0] + len(wires))):
-            raise InvalidInputError("cut wires must be contiguous and ascending")
-        locations.append(
-            CutLocation(int(entry["after_layer"]), wires[0], builder(len(wires)))
-        )
+    for i, entry in enumerate(_list_field(data, "locations", "")):
+        where = f"locations[{i}]."
+        wires = _range_field(entry, "wires", where)
+        after_layer = _int_field(entry, "after_layer", where)
+        locations.append(CutLocation(after_layer, wires[0], builder(len(wires))))
     locations.sort(key=lambda loc: (loc.after_layer, loc.first_wire))
     return CutSpec(tuple(locations))
 
 
 def load_cuts(path, builder: Callable[[int], Decomposition]) -> CutSpec:
-    with open(path) as fh:
-        return cuts_from_json(json.load(fh), builder)
+    return _load_json(path, lambda data: cuts_from_json(data, builder))

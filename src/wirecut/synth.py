@@ -338,15 +338,8 @@ def _is_signed_z_diagonal(mat: np.ndarray, n: int, tol: float = 1e-10) -> bool:
         if pattern[1 << (n - 1 - q)] < 0:
             s |= 1 << (n - 1 - q)
     idx = np.arange(dim)
-    expect = np.where(_parity(idx & s), -1.0, 1.0)
+    expect = np.where(dense.parity(idx & s), -1.0, 1.0)
     return bool(np.max(np.abs(pattern - expect)) <= tol)
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    out = values.astype(np.int64)
-    for shift in (16, 8, 4, 2, 1):
-        out ^= out >> shift
-    return out & 1
 
 
 def verify_diagonalizes(circuit: CliffordCircuit, family: CommutingFamily) -> bool:

@@ -190,6 +190,78 @@ class TestExactAndEstimate:
         assert code == 2
 
 
+def _edited(name, edit):
+    data = json.loads((DEMOS / name).read_text())
+    edit(data)
+    return json.dumps(data)
+
+
+def _circuit(edit):
+    return "circuit", _edited("demo_circuit.json", edit)
+
+
+def _cuts(edit):
+    return "cuts", _edited("demo_cut.json", edit)
+
+
+def _layer(i, edit):
+    return _circuit(lambda d: edit(d["layers"][i]))
+
+
+def _location(edit):
+    return _cuts(lambda d: edit(d["locations"][0]))
+
+
+# case -> (which file is malformed, its text, what the error must name)
+MALFORMED = {
+    "circuit_truncated": (
+        "circuit", (DEMOS / "demo_circuit.json").read_text()[:200], "not valid JSON"
+    ),
+    "circuit_not_object": ("circuit", "[1, 2]", "top level"),
+    "width_missing": (*_circuit(lambda d: d.pop("width")), "width"),
+    "width_not_int": (*_circuit(lambda d: d.update(width="3")), "width"),
+    "width_zero": (*_circuit(lambda d: d.update(width=0)), "width"),
+    "width_above_cap": (*_circuit(lambda d: d.update(width=13)), "width"),
+    "layers_missing": (*_circuit(lambda d: d.pop("layers")), "layers"),
+    "qubits_missing": (*_layer(1, lambda l: l.pop("qubits")), "layers[1].qubits"),
+    "qubits_beyond_width": (*_layer(1, lambda l: l.update(qubits=[3, 4])), "layers[1].qubits"),
+    "matrix_missing": (*_layer(0, lambda l: l.pop("matrix")), "layers[0].matrix"),
+    "matrix_malformed": (*_layer(0, lambda l: l.update(matrix=[[1, 0]])), "layers[0].matrix"),
+    "table_missing": (*_circuit(lambda d: d.update(f="table")), "table"),
+    "bad_postprocess": (*_circuit(lambda d: d.update(f="bit:x")), "field f"),
+    "cuts_truncated": ("cuts", (DEMOS / "demo_cut.json").read_text()[:10], "not valid JSON"),
+    "locations_missing": ("cuts", "{}", "locations"),
+    "after_layer_missing": (
+        *_location(lambda c: c.pop("after_layer")), "locations[0].after_layer"
+    ),
+    "wires_missing": (*_location(lambda c: c.pop("wires")), "locations[0].wires"),
+    "wires_empty": (*_location(lambda c: c.update(wires=[])), "locations[0].wires"),
+    "wires_below_one": (*_location(lambda c: c.update(wires=[0])), "locations[0].wires"),
+    "qubits_below_one": (*_layer(0, lambda l: l.update(qubits=[0, 1])), "layers[0].qubits"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_estimate_exit_2(self, capsys, tmp_path, case):
+        which, text, named = MALFORMED[case]
+        bad = tmp_path / f"{which}.json"
+        bad.write_text(text)
+        files = {"circuit": DEMOS / "demo_circuit.json", "cuts": DEMOS / "demo_cut.json"}
+        files[which] = bad
+        code, out, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(files["circuit"]),
+            "--cuts", str(files["cuts"]),
+            "--shots", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert str(bad) in err and named in err
+
+
 class TestBench:
     def test_overhead_rows(self, capsys):
         code, out, _ = run(capsys, "bench", "overhead", "--nmax", "3")

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wirecut import dense
-from wirecut.channels import build_mub_default, build_optimal_1q, build_peng_1q
+from wirecut import dense, estimator
+from wirecut.channels import (
+    build_decomposition,
+    build_mub_default,
+    build_optimal_1q,
+    build_peng_1q,
+)
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.estimator import (
     CircuitLayer,
@@ -154,6 +161,51 @@ class TestMonteCarlo:
                 10,
             )
 
+    def test_cut_wire_below_one(self):
+        cuts = CutSpec((CutLocation(1, 0, build_optimal_1q()),))
+        with pytest.raises(InvalidInputError, match="outside the circuit"):
+            run_monte_carlo(demo_circuit(), cuts, PostProcess.parity(3), 10)
+
+
+def deep_three_cut_case():
+    """6 qubits, 15 fixed Haar layers in brickwork, two optimal1q cuts after
+    layer 5 and one two-wire mub cut after layer 10."""
+    rng = np.random.default_rng(2024)
+    layers = tuple(CircuitLayer(q, dense.haar_unitary(4, rng)) for q in (1, 3, 5, 2, 4) * 3)
+    one, two = build_optimal_1q(), build_mub_default(2)
+    cuts = CutSpec((CutLocation(5, 2, one), CutLocation(5, 4, one), CutLocation(10, 2, two)))
+    return LayeredCircuit(6, layers), cuts, PostProcess.parity(6)
+
+
+class TestGoldenEstimates:
+    """Reports pinned bit for bit; both shot counts span several chunks and
+    end in a partial one."""
+
+    def test_demo_optimal1q(self):
+        rep = run_monte_carlo(
+            demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3), 150_001, seed=11
+        )
+        assert rep.estimate == 1.0013733241778389
+        assert rep.std_error == 0.007301712797065735
+        assert rep.tallies == ((49866, 50169, 49966),)
+
+    def test_deep_three_cuts(self):
+        rep = run_monte_carlo(*deep_three_cut_case(), 70_000, seed=5)
+        assert rep.estimate == -0.0594
+        assert rep.std_error == 0.2381192130125342
+        assert rep.tallies == (
+            (23144, 23484, 23372),
+            (23342, 23574, 23084),
+            (9975, 10011, 10047, 9958, 30009),
+        )
+
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        case = deep_three_cut_case()
+        reference = run_monte_carlo(*case, 2000, seed=3)
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(estimator, "CHUNK_SHOTS", chunk)
+            assert run_monte_carlo(*case, 2000, seed=3) == reference
+
 
 class TestCutSeparation:
     def test_prepared_states_do_not_depend_on_upstream(self):
@@ -258,6 +310,16 @@ class TestUnbiasedness:
         mean = enumerate_estimator_mean(circ, cuts, f)
         assert abs(mean - exact) < 1e-10
 
+    def test_impossible_trailing_outcome_is_skipped(self):
+        """Wire 2 stays |0>, so the computational channel's outcome |11> is
+        impossible; rounding of the forced cum[-1] = 1 leaves it a sliver of
+        mass, which must not be conditioned on."""
+        rng = np.random.default_rng(11)
+        circ = LayeredCircuit(2, (CircuitLayer(1, dense.haar_unitary(2, rng)),))
+        cuts = CutSpec((CutLocation(1, 1, build_mub_default(2)),))
+        f = PostProcess.parity(2)
+        assert abs(enumerate_estimator_mean(circ, cuts, f) - exact_expectation(circ, f)) < 1e-10
+
 
 class TestVariance:
     def test_halves_when_shots_double(self):
@@ -305,6 +367,15 @@ class TestJsonForms:
                 lambda n: build_optimal_1q(),
             )
 
+    @pytest.mark.parametrize("width", [0, 13, 2**40])
+    def test_width_checked_before_postprocess_table(self, monkeypatch, width):
+        def no_table(*args):
+            raise AssertionError("postprocess table built before the width check")
+
+        monkeypatch.setattr(PostProcess, "from_spec", no_table)
+        with pytest.raises(InvalidInputError, match="width"):
+            circuit_from_json({"width": width, "layers": []})
+
     def test_report_json(self):
         rep = run_monte_carlo(
             demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3), 100
@@ -312,3 +383,59 @@ class TestJsonForms:
         data = rep.to_json()
         assert data["shots"] == 100
         assert len(data["tallies"][0]) == 3
+
+
+class TestParity:
+    def test_matches_popcount(self):
+        values = np.array([0, 1, 2, 3, 7, 2**31 + 1, 2**32, 2**40 + 2**33 + 5, 2**62 + 1])
+        expect = [bin(int(v)).count("1") % 2 for v in values]
+        assert dense.parity(values).tolist() == expect
+
+
+DECOMPOSITIONS = {
+    (method, n): build_decomposition(method, n)
+    for method, n in (("optimal1q", 1), ("mub", 1), ("mub", 2))
+}
+
+
+@st.composite
+def cut_circuits(draw):
+    """Width <= 4, at most 4 Haar layers, one or two optimal1q / mub n <= 2 cuts."""
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        span = draw(st.integers(1, min(width, 3)))
+        first = draw(st.integers(1, width - span + 1))
+        layers.append(CircuitLayer(first, dense.haar_unitary(2**span, rng)))
+    locations = []
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from([k for k in DECOMPOSITIONS if k[1] <= width]))
+        first = draw(st.integers(1, width - key[1] + 1))
+        locations.append(CutLocation(draw(st.integers(0, len(layers))), first, DECOMPOSITIONS[key]))
+    locations.sort(key=lambda loc: (loc.after_layer, loc.first_wire))
+    for a, b in zip(locations, locations[1:]):
+        assume(a.after_layer != b.after_layer or a.first_wire + a.decomposition.n <= b.first_wire)
+    f = PostProcess.from_spec(draw(st.sampled_from(["parity", f"bit:{width}"])), width)
+    return LayeredCircuit(width, tuple(layers)), CutSpec(tuple(locations)), f
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(cut_circuits())
+    def test_enumerated_mean_is_exact(self, case):
+        circuit, cuts, f = case
+        assert abs(enumerate_estimator_mean(circuit, cuts, f) - exact_expectation(circuit, f)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cut_circuits(),
+        st.integers(1, 300),
+        st.integers(0, 2**128 - 1),
+        st.integers(1, 64),
+    )
+    def test_chunk_size_does_not_change_the_report(self, case, shots, seed, chunk):
+        reference = run_monte_carlo(*case, shots, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "CHUNK_SHOTS", chunk)
+            assert run_monte_carlo(*case, shots, seed) == reference
