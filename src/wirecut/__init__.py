@@ -68,7 +68,6 @@ from .families import (
     validate_partition,
 )
 from .pauli import (
-    BinaryMatrix,
     PauliString,
     PhasedPauli,
     commutes,
@@ -82,7 +81,6 @@ from .synth import (
     CliffordCircuit,
     Gate,
     GateStats,
-    StabilizerMatrix,
     circuit_unitary,
     edge_color_cz,
     gate_stats,

@@ -21,6 +21,7 @@ verification happens in double precision through the Pauli transfer matrix.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,6 +34,7 @@ from .errors import (
     InvalidInputError,
     NumericFailureError,
     ResourceLimitError,
+    WirecutError,
 )
 from .families import FamilyPartition
 from .pauli import pauli_vector
@@ -76,6 +78,8 @@ class MPChannel:
         for t in self.terms:
             if t.effect.shape != (dim, dim) or t.prep.shape != (dim, dim):
                 raise InvalidInputError("term matrices do not match qubit count")
+            if not (np.isfinite(t.effect).all() and np.isfinite(t.prep).all()):
+                raise InvalidInputError("term matrices must be finite")
             _check_hermitian(t.effect, "POVM effect")
             _check_hermitian(t.prep, "prepared state")
             if np.min(np.linalg.eigvalsh(t.effect)) < PSD_FLOOR:
@@ -487,6 +491,56 @@ def _matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a parsed JSON object; `where` prefixes the field name."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where.rstrip('.') or 'top level'} must be a JSON object")
+    if key not in obj:
+        raise InvalidInputError(f"missing field {where}{key}")
+    return obj[key]
+
+
+def _int_field(obj, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"field {where}{key} must be an integer")
+    return value
+
+
+def _list_field(obj, key: str, where: str) -> list:
+    value = _field(obj, key, where)
+    if not isinstance(value, list):
+        raise InvalidInputError(f"field {where}{key} must be a list")
+    return value
+
+
+def _matrix_field(obj, key: str, where: str, dim: int) -> np.ndarray:
+    """A dim x dim matrix stored as rows of [re, im] pairs."""
+    value = _field(obj, key, where)
+    try:
+        matrix = _matrix_from_json(value)
+    except (TypeError, ValueError, OverflowError):
+        matrix = None
+    if matrix is None or matrix.shape != (dim, dim):
+        raise InvalidInputError(
+            f"field {where}{key} must be a {dim} x {dim} matrix of [re, im] pairs"
+        )
+    return matrix
+
+
+def _load_json(path, parse):
+    """parse() of the JSON document in the file at `path`; errors name the file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
+            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return parse(data)
+    except WirecutError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def decomposition_to_json(d: Decomposition) -> dict:
     return {
         "label": d.label,
@@ -511,25 +565,38 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
-    n = int(data["n"])
-    channels = tuple(
-        (
-            float(ch["weight"]),
-            MPChannel(
-                n,
-                tuple(
-                    ChannelTerm(
-                        int(t["a"]),
-                        _matrix_from_json(t["effect"]),
-                        _matrix_from_json(t["prep"]),
-                    )
-                    for t in ch["terms"]
-                ),
-            ),
-        )
-        for ch in data["channels"]
-    )
-    return Decomposition(n, channels, str(data.get("label", "custom")))
+    """Decomposition from the JSON wire format.
+
+    Malformed input raises InvalidInputError naming the field; `n` is checked
+    against MAX_PTM_QUBITS before any matrix is parsed.
+    """
+    n = _int_field(data, "n", "")
+    if not 1 <= n <= MAX_PTM_QUBITS:
+        raise InvalidInputError(f"field n must lie in [1, {MAX_PTM_QUBITS}], got {n}")
+    channels = []
+    for i, entry in enumerate(_list_field(data, "channels", "")):
+        where = f"channels[{i}]."
+        weight = _field(entry, "weight", where)
+        if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
+            raise InvalidInputError(f"field {where}weight must be a finite number")
+        terms = []
+        for j, term in enumerate(_list_field(entry, "terms", where)):
+            at = f"{where}terms[{j}]."
+            terms.append(
+                (
+                    _int_field(term, "a", at),
+                    _matrix_field(term, "effect", at, 2**n),
+                    _matrix_field(term, "prep", at, 2**n),
+                )
+            )
+        try:
+            channel = MPChannel(n, tuple(ChannelTerm(*t) for t in terms))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"field {where.rstrip('.')}: {exc}") from None
+        channels.append((float(weight), channel))
+    if not channels:
+        raise InvalidInputError("field channels must not be empty")
+    return Decomposition(n, tuple(channels), str(data.get("label", "custom")))
 
 
 def save_decomposition(d: Decomposition, path) -> None:
@@ -538,8 +605,7 @@ def save_decomposition(d: Decomposition, path) -> None:
 
 
 def load_decomposition(path) -> Decomposition:
-    with open(path) as fh:
-        return decomposition_from_json(json.load(fh))
+    return _load_json(path, decomposition_from_json)
 
 
 BUILDERS = {

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -62,6 +60,7 @@ _GAMMA_SQ = {
     "randomized": lambda n: (2 ** (n + 1) + 1) ** 2,
     "mub": lambda n: (2 ** (n + 1) - 1) ** 2,
     "teleport": lambda n: (2 ** (n + 1) - 1) ** 2,
+    "optimal1q": lambda n: (2 ** (n + 1) - 1) ** 2,  # the single-wire alias of mub
 }
 
 _CHANNELS = {
@@ -94,13 +93,7 @@ def multi_cut_overhead(method: str, k_cuts: int, n_per_cut: int = 1) -> int:
         raise InvalidInputError(f"unknown method {method!r}")
     if k_cuts < 0 or n_per_cut < 1:
         raise InvalidInputError("bad cut multiplicity")
-    if method == "optimal1q":
-        method = "mub"
     return _GAMMA_SQ[method](n_per_cut) ** k_cuts
-
-
-# accept the single-wire alias in the overhead helpers
-_GAMMA_SQ["optimal1q"] = _GAMMA_SQ["mub"]
 
 
 @dataclass(frozen=True)
@@ -113,18 +106,6 @@ class GateCountRow:
     bound_all: int
 
 
-def max_workers() -> int:
-    """Worker cap for internal parallelism, bounded by WIRECUT_THREADS."""
-    cap = os.environ.get("WIRECUT_THREADS")
-    cpu = os.cpu_count() or 1
-    if cap is None:
-        return cpu
-    try:
-        return max(1, min(int(cap), cpu))
-    except ValueError:
-        raise InvalidInputError("WIRECUT_THREADS must be an integer") from None
-
-
 def gate_count_bench(n_max: int, optimize_depth: bool = False) -> list[GateCountRow]:
     """Max S-dagger / CZ / total gate counts over all synthesized circuits per n.
 
@@ -135,16 +116,8 @@ def gate_count_bench(n_max: int, optimize_depth: bool = False) -> list[GateCount
         raise ResourceLimitError(f"benchmark capped at n <= {MAX_TABLE_QUBITS}")
     rows = []
     for n in range(1, n_max + 1):
-        part = generate_partition(n)
-        fams = part.families[:-1]
-        workers = min(max_workers(), len(fams))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                stats = list(
-                    pool.map(lambda f: gate_stats(synthesize(f, optimize_depth)), fams)
-                )
-        else:
-            stats = [gate_stats(synthesize(f, optimize_depth)) for f in fams]
+        fams = generate_partition(n).families[:-1]
+        stats = [gate_stats(synthesize(f, optimize_depth)) for f in fams]
         n_s = max(s.n_s for s in stats)
         n_cz = max(s.n_cz for s in stats)
         n_all = max(s.n_h + s.n_s + s.n_cz for s in stats)

@@ -35,8 +35,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dense
-from .channels import Decomposition, MPChannel
-from .errors import InvalidInputError, NumericFailureError, ResourceLimitError, WirecutError
+from .channels import (
+    Decomposition,
+    MPChannel,
+    _field,
+    _int_field,
+    _list_field,
+    _load_json,
+    _matrix_field,
+    _matrix_to_json,
+)
+from .errors import InvalidInputError, NumericFailureError, ResourceLimitError
 
 MAX_SIM_QUBITS = 12
 PROB_FLOOR = -1e-9
@@ -135,7 +144,11 @@ class PostProcess:
             if spec == "parity":
                 return cls.parity(width)
             if spec.startswith("bit:"):
-                return cls.bit(int(spec.split(":", 1)[1]), width)
+                try:
+                    k = int(spec[4:])
+                except ValueError:
+                    raise InvalidInputError(f"bit index in {spec!r} is not an integer") from None
+                return cls.bit(k, width)
             raise InvalidInputError(f"unknown postprocess {spec!r}")
         return cls(width, np.asarray(spec, dtype=float))
 
@@ -328,7 +341,12 @@ class _CutEngine:
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
         cum = np.cumsum(probs / total)
-        cum[-1] = 1.0
+        # the table reaches 1 at the last outcome child() can condition on, so
+        # rounding leaves no mass on the impossible outcomes after it
+        last = len(residuals) - 1
+        while last > 0 and np.linalg.norm(residuals[last]) < MIN_RESIDUAL_NORM:
+            last -= 1
+        cum[last:] = 1.0
         self._outcome_cums[key] = cum
         for o_idx, amp in enumerate(residuals):
             self._residuals[key + (o_idx,)] = amp
@@ -551,8 +569,6 @@ def demo_cut(decomposition: Decomposition) -> CutSpec:
 
 
 def circuit_to_json(circuit: LayeredCircuit, f: PostProcess) -> dict:
-    from .channels import _matrix_to_json
-
     out = {
         "width": circuit.width,
         "layers": [
@@ -567,29 +583,6 @@ def circuit_to_json(circuit: LayeredCircuit, f: PostProcess) -> dict:
     if f.name == "table":
         out["table"] = f.table.tolist()
     return out
-
-
-def _field(obj, key: str, where: str):
-    """obj[key] of a parsed JSON object; `where` prefixes the field name."""
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{where.rstrip('.') or 'top level'} must be a JSON object")
-    if key not in obj:
-        raise InvalidInputError(f"missing field {where}{key}")
-    return obj[key]
-
-
-def _int_field(obj, key: str, where: str) -> int:
-    value = _field(obj, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"field {where}{key} must be an integer")
-    return value
-
-
-def _list_field(obj, key: str, where: str) -> list:
-    value = _field(obj, key, where)
-    if not isinstance(value, list):
-        raise InvalidInputError(f"field {where}{key} must be a list")
-    return value
 
 
 def _range_field(obj, key: str, where: str) -> list[int]:
@@ -614,8 +607,6 @@ def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
     Malformed input raises InvalidInputError naming the field; the width is
     checked against MAX_SIM_QUBITS before anything of size 2^width exists.
     """
-    from .channels import _matrix_from_json
-
     width = _int_field(data, "width", "")
     if not 1 <= width <= MAX_SIM_QUBITS:
         raise InvalidInputError(f"field width must lie in [1, {MAX_SIM_QUBITS}], got {width}")
@@ -625,15 +616,7 @@ def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
         qubits = _range_field(entry, "qubits", where)
         if qubits[-1] > width:
             raise InvalidInputError(f"field {where}qubits must lie in [1, {width}]")
-        dim = 2 ** len(qubits)
-        try:
-            matrix = _matrix_from_json(_field(entry, "matrix", where))
-        except (TypeError, ValueError):
-            matrix = None
-        if matrix is None or matrix.shape != (dim, dim):
-            raise InvalidInputError(
-                f"field {where}matrix must be a {dim} x {dim} matrix of [re, im] pairs"
-            )
+        matrix = _matrix_field(entry, "matrix", where, 2 ** len(qubits))
         layers.append(CircuitLayer(qubits[0], matrix))
     circuit = LayeredCircuit(width, tuple(layers))
     spec = data.get("f", "parity")
@@ -646,19 +629,6 @@ def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"field {key}: {exc}") from None
     return circuit, f
-
-
-def _load_json(path, parse):
-    """parse() of the JSON document in the file at `path`; errors name the file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
-            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
-    try:
-        return parse(data)
-    except WirecutError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_circuit(path) -> tuple[LayeredCircuit, PostProcess]:

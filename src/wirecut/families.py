@@ -23,7 +23,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .pauli import PauliString, commutes, gf2_independent, gf2_rank, pauli_from_bits
+from .pauli import (
+    PauliString,
+    commutes,
+    gf2_basis,
+    gf2_independent,
+    gf2_rank,
+    pauli_from_bits,
+)
 
 MAX_PARTITION_QUBITS = 12
 
@@ -137,22 +144,6 @@ def _vector_int(p: PauliString) -> int:
     return out
 
 
-def _reduced_basis(vectors: Iterable[int]) -> list[int]:
-    """Fully reduced GF(2) basis of packed ints, descending leading bit."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                basis[i] = min(basis[i], basis[i] ^ basis[j])
-    return sorted(basis, reverse=True)
-
-
 def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
     """All non-identity products of the generators, phases dropped."""
     gens = tuple(generators)
@@ -189,7 +180,7 @@ def extract_generators(members: Iterable[PauliString]) -> list[PauliString]:
         raise InvalidInputError(f"family must have 2^n - 1 = {2**n - 1} members")
     if any(p.is_identity for p in members):
         raise InvalidInputError("identity must not be a member")
-    basis = _reduced_basis(sorted(_vector_int(p) for p in members))
+    basis = gf2_basis(sorted(_vector_int(p) for p in members))
     if len(basis) != n:
         raise InvalidInputError("members do not span an n-dimensional GF(2) space")
     width = 2 * n
@@ -228,9 +219,7 @@ def generate_partition(n: int) -> FamilyPartition:
         raise ResourceLimitError(f"partition generation capped at n <= {MAX_PARTITION_QUBITS}")
     lines = [_line_family(n, lam) for lam in range(2**n)]
     lines.sort(
-        key=lambda fam: min(
-            _reduced_basis(_vector_int(g) for g in fam.generators)
-        )
+        key=lambda fam: min(gf2_basis(_vector_int(g) for g in fam.generators))
     )
     return FamilyPartition(n, tuple(lines) + (_z_family(n),))
 

@@ -212,68 +212,13 @@ def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(lead + (4**n,)) * 2.0 ** (-n / 2)
 
 
-class BinaryMatrix:
-    """Dense bit matrix over GF(2), rows stored as int masks (bit j = column j)."""
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Fully reduced GF(2) basis of int-mask vectors, sorted descending.
 
-    def __init__(self, rows: int, cols: int, row_masks: Iterable[int] | None = None):
-        self.rows = rows
-        self.cols = cols
-        masks = list(row_masks) if row_masks is not None else [0] * rows
-        if len(masks) != rows:
-            raise InvalidInputError("row count does not match mask list")
-        limit = 1 << cols
-        if any(m < 0 or m >= limit for m in masks):
-            raise InvalidInputError("row mask exceeds column count")
-        self.row_masks = masks
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[int], rows: int) -> "BinaryMatrix":
-        """Build from column masks (bit i of a column mask = row i)."""
-        masks = [0] * rows
-        for j, col in enumerate(cols):
-            for i in range(rows):
-                if (col >> i) & 1:
-                    masks[i] |= 1 << j
-        return cls(rows, len(cols), masks)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.row_masks[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        """Column j as a row-indexed bit mask."""
-        out = 0
-        for i in range(self.rows):
-            out |= self.get(i, j) << i
-        return out
-
-    def copy(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.rows, self.cols, list(self.row_masks))
-
-    def rank(self) -> int:
-        work = list(self.row_masks)
-        rank = 0
-        for col in range(self.cols):
-            pivot = next(
-                (r for r in range(rank, len(work)) if (work[r] >> col) & 1), None
-            )
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(len(work)):
-                if r != rank and (work[r] >> col) & 1:
-                    work[r] ^= work[rank]
-            rank += 1
-        return rank
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)],
-            dtype=np.uint8,
-        )
-
-
-def gf2_rank(vectors: Sequence[int]) -> int:
-    """Rank over GF(2) of int-mask vectors."""
+    No basis vector has another's leading bit set, so the basis is the
+    reduced row echelon form of the span: any two generating sets of one
+    span give the same list.
+    """
     basis: list[int] = []
     for v in vectors:
         for b in basis:
@@ -281,7 +226,16 @@ def gf2_rank(vectors: Sequence[int]) -> int:
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-    return len(basis)
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            if i != j:
+                basis[i] = min(basis[i], basis[i] ^ basis[j])
+    return basis  # reduction keeps every leading bit, so still descending
+
+
+def gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of int-mask vectors."""
+    return len(gf2_basis(vectors))
 
 
 def gf2_independent(vectors: Sequence[int]) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from . import dense
 from .errors import InvalidInputError, ResourceLimitError, SynthesisError
 from .families import CommutingFamily
-from .pauli import BinaryMatrix, PauliString, to_dense
+from .pauli import PauliString, gf2_basis, pauli_from_bits, to_dense
 
 MAX_DENSE_VERIFY_QUBITS = 10
 
@@ -129,50 +129,22 @@ def gate_stats(circuit: CliffordCircuit) -> GateStats:
     )
 
 
-@dataclass(frozen=True)
-class StabilizerMatrix:
-    """Generator bit vectors as columns of a 2n x n GF(2) matrix."""
-
-    matrix: BinaryMatrix
-
-    @classmethod
-    def from_family(cls, family: CommutingFamily) -> "StabilizerMatrix":
-        n = family.n
-        cols = [g.zbits | (g.xbits << n) for g in family.generators]  # rows: z then x
-        return cls(BinaryMatrix.from_columns(cols, rows=2 * n))
-
-    def __post_init__(self):
-        if self.matrix.rows != 2 * self.matrix.cols:
-            raise InvalidInputError("stabilizer matrix must be 2n x n")
-        if self.matrix.rank() != self.matrix.cols:
-            raise InvalidInputError("stabilizer columns must be independent")
-
-
 def symplectic_conjugate(gate: Gate, bits: Sequence[int]) -> tuple[int, ...]:
     """Phase-free action of conjugation by `gate` on a (z_1..z_n,x_1..x_n) vector."""
-    bits = list(int(b) for b in bits)
+    bits = tuple(bits)
     if len(bits) % 2:
         raise InvalidInputError("bit vector length must be even")
-    n = len(bits) // 2
-    if any(q > n for q in gate.qubits):
+    if any(q > len(bits) // 2 for q in gate.qubits):
         raise InvalidInputError("gate qubit index out of range")
-    z = bits[:n]
-    x = bits[n:]
-    if gate.name == "H":
-        (q,) = gate.qubits
-        z[q - 1], x[q - 1] = x[q - 1], z[q - 1]
-    elif gate.name == "SDG":
-        (q,) = gate.qubits
-        z[q - 1] ^= x[q - 1]
-    else:  # CZ
-        i, j = gate.qubits
-        z[i - 1] ^= x[j - 1]
-        z[j - 1] ^= x[i - 1]
-    return tuple(z + x)
+    p = pauli_from_bits(bits)
+    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits)).bit_vector()
 
 
 def _conjugate_masks(gate: Gate, z: int, x: int) -> tuple[int, int]:
-    """Mask-level version of :func:`symplectic_conjugate` (bit q-1 = qubit q)."""
+    """Phase-free conjugation by `gate` of the masks (z, x), bit q-1 = qubit q.
+
+    The gate's qubits are not checked against the masks' width; callers do that.
+    """
     if gate.name == "H":
         b = 1 << (gate.qubits[0] - 1)
         zq, xq = z & b, x & b
@@ -251,26 +223,19 @@ def synthesize(family: CommutingFamily, optimize_depth: bool = True) -> Clifford
 
     Column operations bring the X-block of the generator matrix to the
     identity; the residual symmetric Z-block dictates the S-dagger and CZ
-    gates.  Fails with SynthesisError when the X-block is rank deficient,
-    which happens exactly when the family intersects the all-Z strings.
+    gates.  Fails with InvalidInputError when the generators are dependent,
+    and with SynthesisError when the X-block is rank deficient, which
+    happens exactly when the family intersects the all-Z strings.
     """
     n = family.n
-    stab = StabilizerMatrix.from_family(family)
-    cols = [stab.matrix.column(j) for j in range(n)]  # bit i = row i (z rows first)
-
-    def xbit(col: int, row: int) -> int:
-        return (col >> (n + row)) & 1
-
-    for r in range(n):
-        pivot = next((c for c in range(r, n) if xbit(cols[c], r)), None)
-        if pivot is None:
-            raise SynthesisError(
-                "X-block is rank deficient; family overlaps the all-Z strings"
-            )
-        cols[r], cols[pivot] = cols[pivot], cols[r]
-        for c in range(n):
-            if c != r and xbit(cols[c], r):
-                cols[c] ^= cols[r]
+    # With the X bits high, a full-rank X-block puts every pivot in the X half,
+    # so the reduced basis, reversed, has the identity as its X-block.
+    basis = gf2_basis((g.xbits << n) | g.zbits for g in family.generators)
+    if len(basis) < n:
+        raise InvalidInputError("stabilizer columns must be independent")
+    if any(v >> n == 0 for v in basis):
+        raise SynthesisError("X-block is rank deficient; family overlaps the all-Z strings")
+    cols = basis[::-1]  # column j: X part is qubit j + 1 alone, Z part is column j of C
 
     c_block = [[(cols[j] >> i) & 1 for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wirecut import channels
 from wirecut.channels import (
     ChannelTerm,
     Decomposition,
@@ -275,6 +276,11 @@ class TestValidationAndJson:
                 ),
             )
 
+    def test_non_finite_term_rejected(self):
+        effect = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(InvalidInputError, match="finite"):
+            MPChannel(1, (ChannelTerm(1, effect, projector(PLUS)),))
+
     def test_bad_sign_rejected(self):
         with pytest.raises(InvalidInputError):
             ChannelTerm(2, projector(PLUS), projector(PLUS))
@@ -287,6 +293,17 @@ class TestValidationAndJson:
         assert abs(float(back.gamma) - 3.0) < 1e-12
         assert verify_decomposition(back) < 1e-10
         assert data["gamma"] == 3.0 and data["m"] == 3
+
+    @pytest.mark.parametrize("n", [-1, 0, 7])
+    def test_width_checked_before_matrices(self, monkeypatch, n):
+        def no_matrix(data):
+            raise AssertionError("matrix parsed before the width check")
+
+        monkeypatch.setattr(channels, "_matrix_from_json", no_matrix)
+        data = decomposition_to_json(build_optimal_1q())
+        data["n"] = n
+        with pytest.raises(InvalidInputError, match="field n"):
+            decomposition_from_json(data)
 
     def test_build_decomposition_dispatch(self):
         assert build_decomposition("peng", 1).label == "peng"

@@ -212,6 +212,18 @@ def _location(edit):
     return _cuts(lambda d: edit(d["locations"][0]))
 
 
+def _decomposition(edit):
+    from wirecut.channels import build_optimal_1q, decomposition_to_json
+
+    data = decomposition_to_json(build_optimal_1q())
+    edit(data)
+    return "decomposition", json.dumps(data)
+
+
+def _term(edit):
+    return _decomposition(lambda d: edit(d["channels"][0]["terms"][0]))
+
+
 # case -> (which file is malformed, its text, what the error must name)
 MALFORMED = {
     "circuit_truncated": (
@@ -238,6 +250,45 @@ MALFORMED = {
     "wires_empty": (*_location(lambda c: c.update(wires=[])), "locations[0].wires"),
     "wires_below_one": (*_location(lambda c: c.update(wires=[0])), "locations[0].wires"),
     "qubits_below_one": (*_layer(0, lambda l: l.update(qubits=[0, 1])), "layers[0].qubits"),
+    "decomposition_truncated": (
+        "decomposition", _decomposition(lambda d: None)[1][:200], "not valid JSON"
+    ),
+    "n_missing": (*_decomposition(lambda d: d.pop("n")), "field n"),
+    "n_not_int": (*_decomposition(lambda d: d.update(n=1.0)), "field n"),
+    "n_above_cap": (*_decomposition(lambda d: d.update(n=7)), "field n"),
+    "channels_missing": (*_decomposition(lambda d: d.pop("channels")), "channels"),
+    "channels_empty": (*_decomposition(lambda d: d.update(channels=[])), "channels"),
+    "weight_missing": (
+        *_decomposition(lambda d: d["channels"][0].pop("weight")), "channels[0].weight"
+    ),
+    "weight_not_number": (
+        *_decomposition(lambda d: d["channels"][1].update(weight="1")), "channels[1].weight"
+    ),
+    "weight_infinite": (
+        *_decomposition(lambda d: d["channels"][0].update(weight=float("inf"))),
+        "channels[0].weight",
+    ),
+    "terms_missing": (
+        *_decomposition(lambda d: d["channels"][0].pop("terms")), "channels[0].terms"
+    ),
+    "a_missing": (*_term(lambda t: t.pop("a")), "channels[0].terms[0].a"),
+    "a_not_sign": (*_term(lambda t: t.update(a=2)), "channels[0]"),
+    "effect_missing": (*_term(lambda t: t.pop("effect")), "channels[0].terms[0].effect"),
+    "effect_malformed": (
+        *_term(lambda t: t.update(effect=[[1, 0]])), "channels[0].terms[0].effect"
+    ),
+    "effect_wrong_width": (
+        *_decomposition(lambda d: d.update(n=2)), "channels[0].terms[0].effect"
+    ),
+    "prep_not_finite": (
+        *_term(lambda t: t["prep"][0].__setitem__(0, [float("nan"), 0])), "channels[0]"
+    ),
+    "matrix_number_too_large": (
+        *_layer(0, lambda l: l["matrix"][0].__setitem__(0, [10**400, 0])), "layers[0].matrix"
+    ),
+    "prep_not_a_state": (
+        *_term(lambda t: t.update(prep=[[[2, 0], [0, 0]], [[0, 0], [-1, 0]]])), "channels[0]"
+    ),
 }
 
 
@@ -248,12 +299,17 @@ class TestMalformedInput:
         bad = tmp_path / f"{which}.json"
         bad.write_text(text)
         files = {"circuit": DEMOS / "demo_circuit.json", "cuts": DEMOS / "demo_cut.json"}
-        files[which] = bad
+        method = "optimal1q"
+        if which == "decomposition":
+            method = f"file:{bad}"
+        else:
+            files[which] = bad
         code, out, err = run(
             capsys,
             "estimate",
             "--circuit", str(files["circuit"]),
             "--cuts", str(files["cuts"]),
+            "--method", method,
             "--shots", "10",
         )
         assert code == 2

@@ -128,13 +128,6 @@ class TestGateCountBench:
     def test_reproducible(self):
         assert gate_count_bench(4) == gate_count_bench(4)
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("WIRECUT_THREADS", "1")
-        serial = gate_count_bench(3)
-        monkeypatch.setenv("WIRECUT_THREADS", "4")
-        threaded = gate_count_bench(3)
-        assert serial == threaded
-
 
 class TestCsv:
     def test_overhead_csv_shape(self):

@@ -320,6 +320,22 @@ class TestUnbiasedness:
         f = PostProcess.parity(2)
         assert abs(enumerate_estimator_mean(circ, cuts, f) - exact_expectation(circ, f)) < 1e-10
 
+    def test_impossible_trailing_outcome_has_no_mass(self):
+        """The same case seen by the sampler: a shot must never land on |11>."""
+        rng = np.random.default_rng(11)
+        circ = LayeredCircuit(2, (CircuitLayer(1, dense.haar_unitary(2, rng)),))
+        engine = estimator._CutEngine(
+            circ, CutSpec((CutLocation(1, 1, build_mub_default(2)),)), PostProcess.parity(2)
+        )
+        impossible = 0
+        for c in range(len(engine.locations[0].signs)):
+            widths = np.diff(engine.outcome_cum((), c), prepend=0.0)
+            for o, width in enumerate(widths):
+                if np.linalg.norm(engine._residuals[(c, o)]) < estimator.MIN_RESIDUAL_NORM:
+                    impossible += 1
+                    assert width == 0.0
+        assert impossible > 0
+
 
 class TestVariance:
     def test_halves_when_shots_double(self):
@@ -375,6 +391,11 @@ class TestJsonForms:
         monkeypatch.setattr(PostProcess, "from_spec", no_table)
         with pytest.raises(InvalidInputError, match="width"):
             circuit_from_json({"width": width, "layers": []})
+
+    @pytest.mark.parametrize("spec", ["bit:x", "bit:", "bit:1.5"])
+    def test_bad_bit_spec(self, spec):
+        with pytest.raises(InvalidInputError, match="bit index"):
+            PostProcess.from_spec(spec, 3)
 
     def test_report_json(self):
         rep = run_monte_carlo(

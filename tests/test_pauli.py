@@ -4,14 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.pauli import (
-    BinaryMatrix,
     PauliString,
     PhasedPauli,
     all_pauli_strings,
     commutes,
+    gf2_basis,
     gf2_independent,
     gf2_rank,
     multiply,
@@ -211,21 +213,50 @@ class TestPauliVector:
 
 
 class TestBinaryMatrix:
+    """GF(2) rank of bit matrices given as row masks."""
+
     def test_rank_full(self):
-        m = BinaryMatrix(2, 2, [0b01, 0b10])
-        assert m.rank() == 2
+        assert gf2_rank([0b01, 0b10]) == 2
 
     def test_rank_deficient(self):
-        m = BinaryMatrix(3, 2, [0b01, 0b10, 0b11])
-        assert m.rank() == 2
-
-    def test_from_columns_round_trip(self):
-        m = BinaryMatrix.from_columns([0b101, 0b011], rows=3)
-        assert m.column(0) == 0b101
-        assert m.column(1) == 0b011
-        assert m.get(2, 0) == 1 and m.get(2, 1) == 0
+        assert gf2_rank([0b01, 0b10, 0b11]) == 2
 
     def test_gf2_rank_helpers(self):
         assert gf2_rank([0b1, 0b10, 0b11]) == 2
         assert gf2_independent([0b1, 0b10])
         assert not gf2_independent([0b1, 0b10, 0b11])
+
+
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+row_masks = st.lists(st.integers(0, 2**12 - 1), max_size=8)
+
+
+class TestGF2Properties:
+    @settings(max_examples=200, deadline=None)
+    @given(row_masks)
+    def test_rank_is_log2_of_span_size(self, vectors):
+        assert 2 ** gf2_rank(vectors) == len(_span(vectors))
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_masks, st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))), st.randoms())
+    def test_basis_depends_only_on_span(self, vectors, row_ops, rnd):
+        """Row additions, a shuffle and an added dependent vector keep the basis."""
+        other = list(vectors)
+        for i, j in row_ops:
+            if i != j and max(i, j) < len(other):
+                other[i] ^= other[j]
+        other.append(0)
+        for v in vectors:
+            if rnd.random() < 0.5:
+                other[-1] ^= v
+        rnd.shuffle(other)
+        basis = gf2_basis(vectors)
+        assert gf2_basis(other) == basis
+        assert basis == sorted(set(basis), reverse=True)
+        assert _span(basis) == _span(vectors)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut.errors import InvalidInputError, SynthesisError
 from wirecut.families import CommutingFamily, generate_partition
-from wirecut.pauli import PauliString, all_pauli_strings, pauli_from_bits, to_dense
+from wirecut.pauli import PauliString, all_pauli_strings, multiply, pauli_from_bits, to_dense
 from wirecut.synth import (
+    GATE_NAMES,
     CliffordCircuit,
     Gate,
     circuit_unitary,
@@ -183,6 +186,11 @@ class TestSynthesizedPartitions:
         )
         assert verify_diagonalizes(slow, fam)
 
+    def test_dependent_generators_rejected(self):
+        x1 = PauliString.from_label("XI")
+        with pytest.raises(InvalidInputError):
+            synthesize(CommutingFamily(2, (x1, x1)))
+
     def test_c_block_symmetric_is_enforced(self):
         # anticommuting "generators" cannot form a CommutingFamily, so go
         # through synthesize with a hand-built family of commuting strings
@@ -191,6 +199,51 @@ class TestSynthesizedPartitions:
         )
         circ = synthesize(fam)
         assert verify_diagonalizes(circ, fam)
+
+
+@st.composite
+def regenerated_families(draw):
+    """A partition family and the same family under another generating set."""
+    n = draw(st.integers(1, 6))
+    fam = draw(st.sampled_from(generate_partition(n).families[:-1]))
+    gens = list(fam.generators)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        if i != j:
+            gens[i] = multiply(gens[i], gens[j]).pauli
+    gens = draw(st.permutations(gens))
+    return fam, CommutingFamily(n, tuple(gens))
+
+
+@st.composite
+def one_gate_cases(draw):
+    """A gate on n <= 6 qubits and a 2n-bit vector for it to act on."""
+    n = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(GATE_NAMES if n > 1 else ("H", "SDG")))
+    k = 2 if name == "CZ" else 1
+    qubits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+    bits = draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
+    return Gate(name, tuple(qubits)), bits
+
+
+class TestSynthesisProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(regenerated_families(), st.booleans())
+    def test_circuit_depends_only_on_the_family(self, families, optimize_depth):
+        fam, regenerated = families
+        circ = synthesize(regenerated, optimize_depth)
+        assert circ == synthesize(fam, optimize_depth)
+        assert verify_diagonalizes_symplectic(circ, regenerated)
+        if optimize_depth:
+            assert circ.depth <= fam.n + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_gate_cases())
+    def test_bit_action_matches_circuit_action(self, case):
+        gate, bits = case
+        n = len(bits) // 2
+        circuit = CliffordCircuit.from_gates(n, [gate])
+        expect = conjugate_by_inverse(circuit, pauli_from_bits(bits)).bit_vector()
+        assert symplectic_conjugate(gate, bits) == expect
 
 
 class TestTextFormat:
