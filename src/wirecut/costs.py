@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -29,8 +30,10 @@ class TimeModelParams:
     def __post_init__(self):
         if self.m < 0 or self.shots < 0:
             raise InvalidInputError("counts must be nonnegative")
-        if self.t_compile < 0 or self.t_shot < 0:
-            raise InvalidInputError("unit times must be nonnegative")
+        for name, t in (("t_compile", self.t_compile), ("t_shot", self.t_shot)):
+            # NaN passes a `t < 0` test, so finiteness is checked explicitly
+            if not math.isfinite(t) or t < 0:
+                raise InvalidInputError(f"{name} must be a finite nonnegative time, got {t!r}")
 
 
 def predict_time(p: TimeModelParams) -> float:
@@ -77,7 +80,7 @@ METHOD_ORDER = ("peng", "randomized", "mub", "teleport")
 def overhead_table(n_max: int) -> list[MethodRow]:
     """Sampling overhead gamma^2 and channel count m for every method and n."""
     if not 1 <= n_max <= MAX_TABLE_QUBITS:
-        raise ResourceLimitError(f"table capped at n <= {MAX_TABLE_QUBITS}")
+        raise ResourceLimitError(f"nmax must be in 1..{MAX_TABLE_QUBITS}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         for method in METHOD_ORDER:
@@ -113,7 +116,7 @@ def gate_count_bench(n_max: int, optimize_depth: bool = False) -> list[GateCount
     pass optimize_depth=True to run the edge-coloring scheduler as well.
     """
     if not 1 <= n_max <= MAX_TABLE_QUBITS:
-        raise ResourceLimitError(f"benchmark capped at n <= {MAX_TABLE_QUBITS}")
+        raise ResourceLimitError(f"nmax must be in 1..{MAX_TABLE_QUBITS}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         fams = generate_partition(n).families[:-1]

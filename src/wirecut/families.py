@@ -139,13 +139,18 @@ class FamilyPartition:
 def _vector_int(p: PauliString) -> int:
     """Bit vector (z_1..z_n,x_1..x_n) packed with position 1 most significant."""
     out = 0
-    for b in p.bit_vector():
-        out = (out << 1) | b
+    for bits in (p.zbits, p.xbits):  # bit q-1 is qubit q: reverse each mask
+        for _ in range(p.n):
+            out = (out << 1) | (bits & 1)
+            bits >>= 1
     return out
 
 
-def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
-    """All non-identity products of the generators, phases dropped."""
+def check_generators(generators: Sequence[PauliString]) -> list[int]:
+    """Raise InvalidInputError unless the generators are independent and commute.
+
+    Returns their packed vectors (z << n) | x.
+    """
     gens = tuple(generators)
     if not gens:
         raise InvalidInputError("no generators")
@@ -159,6 +164,14 @@ def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
         for j in range(i + 1, len(gens)):
             if not commutes(gens[i], gens[j]):
                 raise InvalidInputError("generators do not mutually commute")
+    return vecs
+
+
+def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
+    """All non-identity products of the generators, phases dropped."""
+    gens = tuple(generators)
+    vecs = check_generators(gens)
+    n = gens[0].n
     mask = (1 << n) - 1
     keys = [0]
     for v in vecs:
@@ -188,25 +201,31 @@ def extract_generators(members: Iterable[PauliString]) -> list[PauliString]:
         pauli_from_bits([(v >> (width - 1 - k)) & 1 for k in range(width)])
         for v in basis  # descending packed value = ascending pivot position
     ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commutes(gens[i], gens[j]):
-                raise InvalidInputError("members do not mutually commute")
-    if expand_family(gens) != members:
+    if expand_family(gens) != members:  # raises if the basis does not commute
         raise InvalidInputError("member set is not closed under products")
     return gens
 
 
 def _line_family(n: int, lam: int) -> CommutingFamily:
-    """Family of the line beta = lam * alpha; generators use alpha = x^(k-1)."""
-    gens = []
-    for k in range(n):
-        beta = gf_mul(lam, 1 << k, n)  # lam * x^k
-        zbits = 0
-        for j in range(n):
-            zbits |= gf_trace(gf_mul(beta, 1 << j, n), n) << j
-        gens.append(PauliString(n, zbits, 1 << k))
-    return CommutingFamily(n, tuple(gens))
+    """Family of the line beta = lam * alpha; generators use alpha = x^k, k < n.
+
+    Bit j of generator k's Z-part is Tr(lam * x^k * x^j) = Tr(lam * x^(k+j)),
+    so the Z-block is the Hankel matrix of the 2n - 1 traces
+    t_i = Tr(lam * x^i): with t = sum_i t_i 2^i, generator k has
+    zbits = bits k..k+n-1 of t.  Stepping a = lam * x^i by one shift and
+    reduction gives every t_i from one popcount each.
+    """
+    poly, trace_mask = _IRREDUCIBLE[n], _trace_mask(n)
+    t = 0
+    a = lam
+    for i in range(2 * n - 1):
+        t |= ((a & trace_mask).bit_count() & 1) << i
+        a <<= 1
+        if a >> n:
+            a ^= poly
+    low = (1 << n) - 1
+    gens = tuple(PauliString(n, (t >> k) & low, 1 << k) for k in range(n))
+    return CommutingFamily(n, gens)
 
 
 def _z_family(n: int) -> CommutingFamily:
@@ -216,7 +235,7 @@ def _z_family(n: int) -> CommutingFamily:
 def generate_partition(n: int) -> FamilyPartition:
     """The deterministic partition into 2^n + 1 families, all-Z family last."""
     if not 1 <= n <= MAX_PARTITION_QUBITS:
-        raise ResourceLimitError(f"partition generation capped at n <= {MAX_PARTITION_QUBITS}")
+        raise ResourceLimitError(f"n must be in 1..{MAX_PARTITION_QUBITS}, got {n}")
     lines = [_line_family(n, lam) for lam in range(2**n)]
     lines.sort(
         key=lambda fam: min(gf2_basis(_vector_int(g) for g in fam.generators))
@@ -237,13 +256,7 @@ def validate_partition(partition: FamilyPartition, exhaustive: bool = False) -> 
     for fam in fams:
         if fam.n != n:
             raise InvalidInputError("family width mismatch")
-        vecs = [(g.zbits << n) | g.xbits for g in fam.generators]
-        if not gf2_independent(vecs):
-            raise InvalidInputError("dependent generators in a family")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not commutes(fam.generators[i], fam.generators[j]):
-                    raise InvalidInputError("non-commuting generators in a family")
+        check_generators(fam.generators)
     if not fams[-1].is_z_family:
         raise InvalidInputError("last family must be the all-Z family")
     for fam in fams[:-1]:

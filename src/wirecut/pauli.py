@@ -219,18 +219,25 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
     reduced row echelon form of the span: any two generating sets of one
     span give the same list.
     """
-    basis: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit -> basis vector
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                basis[i] = min(basis[i], basis[i] ^ basis[j])
-    return basis  # reduction keeps every leading bit, so still descending
+        while v:
+            top = v.bit_length() - 1
+            b = pivots.get(top)
+            if b is None:
+                pivots[top] = v
+                break
+            v ^= b
+    order = sorted(pivots)
+    # Ascending pivots: the lower vectors are already fully reduced, so
+    # clearing one pivot bit never sets another.
+    for i, p in enumerate(order):
+        v = pivots[p]
+        for q in order[:i]:
+            if v >> q & 1:
+                v ^= pivots[q]
+        pivots[p] = v
+    return [pivots[p] for p in reversed(order)]
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:

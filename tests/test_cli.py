@@ -343,3 +343,43 @@ class TestBench:
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "bench", "overhead")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "tc, tq, field",
+        [("nan", "1", "t_compile"), ("1", "nan", "t_shot"),
+         ("inf", "1", "t_compile"), ("1", "-inf", "t_shot")],
+    )
+    def test_timemodel_non_finite_exit_2(self, capsys, tc, tq, field):
+        # the --opt=value form lets argparse take "-inf" as a value
+        code, out, err = run(
+            capsys, "bench", "timemodel", "--m", "3", f"--tc={tc}", f"--tq={tq}", "--N", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err and "Traceback" not in err
+
+
+class TestRangeErrors:
+    """A width below the range is reported as a range, not as a cap."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("families", "--n", "0"), "n must be in 1..12, got 0"),
+            (("bench", "gatecount", "--nmax", "0"), "nmax must be in 1..12, got 0"),
+            (("bench", "overhead", "--nmax", "0"), "nmax must be in 1..12, got 0"),
+        ],
+    )
+    def test_zero_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_synth_zero_exit_2_before_writing(self, capsys, tmp_path):
+        out_dir = tmp_path / "circuits"
+        code, out, err = run(capsys, "synth", "--n", "0", "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be in 1..12, got 0\n"
+        assert not out_dir.exists()

@@ -48,6 +48,13 @@ class TestPredictTime:
         with pytest.raises(InvalidInputError):
             TimeModelParams(-1, 10, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["t_compile", "t_shot"])
+    def test_non_finite_unit_time_rejected(self, field, bad):
+        times = {"t_compile": 1.0, "t_shot": 1.0, field: bad}
+        with pytest.raises(InvalidInputError, match=field):
+            TimeModelParams(3, 5, times["t_compile"], times["t_shot"])
+
 
 class TestOverheadTable:
     def test_n1_row(self):
@@ -86,6 +93,11 @@ class TestOverheadTable:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             overhead_table(13)
+
+    @pytest.mark.parametrize("n_max", [0, 13])
+    def test_guard_names_the_range(self, n_max):
+        with pytest.raises(ResourceLimitError, match=rf"nmax must be in 1\.\.12, got {n_max}$"):
+            overhead_table(n_max)
 
     def test_mub_rows_match_built_decompositions(self):
         from wirecut.channels import build_mub_default
@@ -127,6 +139,11 @@ class TestGateCountBench:
 
     def test_reproducible(self):
         assert gate_count_bench(4) == gate_count_bench(4)
+
+    @pytest.mark.parametrize("n_max", [0, 13])
+    def test_guard_names_the_range(self, n_max):
+        with pytest.raises(ResourceLimitError, match=rf"nmax must be in 1\.\.12, got {n_max}$"):
+            gate_count_bench(n_max)
 
 
 class TestCsv:

@@ -8,10 +8,14 @@ import pytest
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.families import (
     _IRREDUCIBLE,
+    CommutingFamily,
+    FamilyPartition,
+    _line_family,
     expand_family,
     extract_generators,
     generate_partition,
     gf_mul,
+    gf_trace,
     mub_overlap_check,
     validate_partition,
 )
@@ -84,6 +88,17 @@ class TestFieldTables:
             assert gf_mul(a, 1, n) == a
 
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_line_family_matches_field_definition(self, n):
+        """Generator k: X-part x^k, Z-part bit j = Tr(lam * x^k * x^j)."""
+        for lam in range(2**n):
+            gens = _line_family(n, lam).generators
+            for k, g in enumerate(gens):
+                beta = gf_mul(lam, 1 << k, n)
+                zbits = sum(gf_trace(gf_mul(beta, 1 << j, n), n) << j for j in range(n))
+                assert (g.zbits, g.xbits) == (zbits, 1 << k)
+
+
 class TestGeneratePartition:
     def test_n1_families(self):
         part = generate_partition(1)
@@ -129,6 +144,18 @@ class TestGeneratePartition:
             generate_partition(13)
         with pytest.raises(ResourceLimitError):
             generate_partition(0)
+
+    @pytest.mark.parametrize("labels", [("XI", "XI"), ("XI", "ZI")], ids=["dependent", "anticommuting"])
+    def test_validate_rejects_bad_generators(self, labels):
+        part = generate_partition(2)
+        bad = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
+        with pytest.raises(InvalidInputError):
+            validate_partition(FamilyPartition(2, (bad,) + part.families[1:]))
+
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_out_of_range_names_the_range(self, n):
+        with pytest.raises(ResourceLimitError, match=rf"n must be in 1\.\.12, got {n}$"):
+            generate_partition(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_against_brute_force_partition_oracle(self, n):

@@ -6,11 +6,13 @@ Gate sequences are only asserted exactly where the construction forces them
 family and respects the gate-count and depth bounds.
 """
 
+import hashlib
 import json
 from importlib import resources
 
 import pytest
 
+from wirecut.costs import gate_count_bench
 from wirecut.families import CommutingFamily, expand_family, generate_partition
 from wirecut.pauli import PauliString
 from wirecut.synth import (
@@ -107,3 +109,39 @@ def test_generated_partition_covers_same_strings_as_fixture():
         part = generate_partition(n)
         ours = {p.label for f in part.families[:-1] for p in f.members}
         assert ours == fixture_strings
+
+
+# sha256 of the generator table (one family per line, labels space-separated)
+# of generate_partition(n) for n = 1..12, and of repr(gate_count_bench(11)).
+# Recorded before the trace-sequence families, pivot-indexed elimination and
+# generator-wise verifier were introduced; those rewrites keep every byte.
+PARTITION_SHA256 = {
+    1: "87f426396960f8e8e09a8a7a9a2f238b20f7abae8adb9ba09a33c6198c8d3699",
+    2: "4902d53f6faf9b5b24174bb3d214ecd903c232730fea3e7c25631ad927834eeb",
+    3: "7797ad670d43c1a6a22587032eff379a2e2e3abad99b280c2539644960436a43",
+    4: "186f717a50d3bb395d9e6e802601d9e03a43c0eeb9460807c85bbe587223b7ee",
+    5: "fbf9a49c0b6a922b95854aced54dde69cb2fe22953d4d32620e7e9942ffffd9e",
+    6: "2ab58390b30364e915b4e1d085da2991326b1744697161d8be5faa72d72d6e60",
+    7: "ea19e7c0b51395f0a9c7417b6a96c31176f9dd9ce25b493f7be707993dffa6f2",
+    8: "b916aeefe5a2fa40b243d46027cc4108236889f4a854495f29ab5e645d9299df",
+    9: "3584b903c0f31c304bf1abb70a01cd401c06e2ba507cf2f905e68021ec21c084",
+    10: "37bf3050c1ea85131705a6b6b97f0c48fb01d89dc8edcf3462deb0045d308c5a",
+    11: "34567eec98007ed5e252aaabedc475775a59a15d180f8b114ed9ec841112887e",
+    12: "ecc62df263397f16c59d4cf909a54ac1f3bc232c45c9be9c1deac0b093c971cc",
+}
+GATE_COUNT_11_SHA256 = "8d2704109b2cadc103eae26c7b3761075234756d352f669f3023644408a96bd1"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_partition_generators_pinned(n):
+    part = generate_partition(n)
+    table = "\n".join(" ".join(g.label for g in fam.generators) for fam in part.families)
+    assert _sha256(table) == PARTITION_SHA256[n]
+
+
+def test_gate_count_rows_pinned():
+    assert _sha256(repr(gate_count_bench(11))) == GATE_COUNT_11_SHA256

@@ -260,3 +260,42 @@ class TestGF2Properties:
         assert gf2_basis(other) == basis
         assert basis == sorted(set(basis), reverse=True)
         assert _span(basis) == _span(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_masks)
+    def test_basis_is_fully_reduced(self, vectors):
+        """Descending, no leading bit set in another vector, spanning the inputs."""
+        basis = gf2_basis(vectors)
+        assert all(a > b for a, b in zip(basis, basis[1:]))
+        assert 0 not in basis
+        for i, v in enumerate(basis):
+            lead = 1 << (v.bit_length() - 1)
+            assert all(not w & lead for j, w in enumerate(basis) if j != i)
+        assert _span(basis) == _span(vectors)
+        assert len(_span(basis)) == 2 ** len(basis)
+
+
+@st.composite
+def pauli_pairs(draw):
+    """Two random strings on the same n <= 4 qubits."""
+    n = draw(st.integers(1, 4))
+    masks = st.integers(0, 2**n - 1)
+    return tuple(PauliString(n, draw(masks), draw(masks)) for _ in range(2))
+
+
+class TestDenseProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(pauli_pairs())
+    def test_multiply_matches_dense_product(self, pair):
+        p, q = pair
+        out = multiply(p, q)
+        np.testing.assert_allclose(
+            out.phase * to_dense(out.pauli), to_dense(p) @ to_dense(q), atol=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(pauli_pairs())
+    def test_commutes_matches_dense_commutator(self, pair):
+        p, q = pair
+        a, b = to_dense(p), to_dense(q)
+        assert commutes(p, q) == bool(np.max(np.abs(a @ b - b @ a)) < 1e-12)

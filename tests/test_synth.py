@@ -246,6 +246,77 @@ class TestSynthesisProperties:
         assert symplectic_conjugate(gate, bits) == expect
 
 
+def memberwise_verdict(circuit, family):
+    """The reference the generator-wise check must equal: every member maps to x = 0."""
+    return all(conjugate_by_inverse(circuit, p).xbits == 0 for p in family.members)
+
+
+@st.composite
+def verifier_cases(draw):
+    """A family of generate_partition(n), n <= 5, and a circuit to check against it.
+
+    The circuit is the family's own (verdict True unless it is the all-Z
+    family), another family's, or a random H / SDG / CZ sequence.
+    """
+    n = draw(st.integers(1, 5))
+    fams = generate_partition(n).families
+    fam = draw(st.sampled_from(fams))
+    kind = draw(st.sampled_from(("own", "other", "random")))
+    if kind == "own" and not fam.is_z_family:
+        return synthesize(fam), fam
+    if kind == "other":
+        return synthesize(draw(st.sampled_from(fams[:-1]))), fam
+    names = GATE_NAMES if n > 1 else ("H", "SDG")
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=3 * n)):
+        k = 2 if name == "CZ" else 1
+        qubits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+        gates.append(Gate(name, tuple(qubits)))
+    return CliffordCircuit.from_gates(n, gates), fam
+
+
+class TestGeneratorVerifier:
+    """`verify_diagonalizes_symplectic` checks generators; members are the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verifier_cases())
+    def test_matches_memberwise_check(self, case):
+        circ, fam = case
+        assert verify_diagonalizes_symplectic(circ, fam) == memberwise_verdict(circ, fam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_circuit_diagonalizes_only_its_family(self, n):
+        """Both verdicts occur: True exactly on the (circuit, own family) pairs."""
+        fams = generate_partition(n).families
+        for i, source in enumerate(fams[:-1]):
+            circ = synthesize(source)
+            for j, fam in enumerate(fams):
+                verdict = verify_diagonalizes_symplectic(circ, fam)
+                assert verdict == memberwise_verdict(circ, fam) == (i == j)
+
+    def test_random_circuit_true_on_z_family(self):
+        circ = CliffordCircuit.from_gates(3, [Gate("SDG", (2,)), Gate("CZ", (1, 3))])
+        fam = generate_partition(3).families[-1]
+        assert verify_diagonalizes_symplectic(circ, fam)
+        assert memberwise_verdict(circ, fam)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [("XI", "XI"), ("II", "XX"), ("XI", "ZI"), ("XZ", "ZI")],
+        ids=["repeated", "identity", "anticommuting", "anticommuting_mixed"],
+    )
+    def test_bad_generators_raise(self, labels):
+        """As member expansion did.
+
+        H on both qubits maps XI, II and XX to x = 0, so only the generator
+        check rejects the dependent cases.
+        """
+        fam = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
+        circ = CliffordCircuit.from_gates(2, [Gate("H", (1,)), Gate("H", (2,))])
+        with pytest.raises(InvalidInputError):
+            verify_diagonalizes_symplectic(circ, fam)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         fam = generate_partition(3).families[0]
