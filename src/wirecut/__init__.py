@@ -55,7 +55,6 @@ from .estimator import (
     enumerate_estimator_mean,
     exact_expectation,
     run_monte_carlo,
-    sample_prep,
     variance_probe,
 )
 from .families import (
@@ -73,7 +72,6 @@ from .pauli import (
     commutes,
     multiply,
     pauli_from_bits,
-    pauli_to_bits,
     pauli_vector,
     to_dense,
 )

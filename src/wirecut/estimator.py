@@ -37,7 +37,6 @@ import numpy as np
 from . import dense
 from .channels import (
     Decomposition,
-    MPChannel,
     _field,
     _int_field,
     _list_field,
@@ -53,6 +52,8 @@ MAX_TRAJECTORY_NODES = 1 << 18
 # a conditioned state below this norm came from a zero-probability outcome
 MIN_RESIDUAL_NORM = 1e-15
 CHUNK_SHOTS = 1 << 16
+# run_monte_carlo keeps one float64 value per shot: 2^27 shots is 1 GiB
+MAX_SHOTS = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +66,9 @@ class CircuitLayer:
     def __post_init__(self):
         if not dense.is_unitary(self.matrix):
             raise InvalidInputError("layer matrix is not unitary")
+        dim = len(self.matrix)
+        if dim < 2 or dim & (dim - 1):
+            raise InvalidInputError(f"layer matrix dimension {dim} is not 2^k, k >= 1")
         if self.first < 1:
             raise InvalidInputError("layer support out of range")
 
@@ -203,12 +207,12 @@ def _effect_components(effect: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _prep_components(prep: np.ndarray) -> list[tuple[float, int | None, np.ndarray]]:
-    """Pure-state realization of a prepared state as (prob, label, vector).
+def _prep_components(prep: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Pure-state realization of a prepared state as (prob, vector) pairs.
 
     Diagonal preps (the uniform computational mixtures and computational
-    basis states) realize as labelled basis states; anything else falls
-    back to its eigendecomposition.
+    basis states) realize as basis states; anything else falls back to its
+    eigendecomposition.
     """
     dim = prep.shape[0]
     off = prep - np.diag(np.diagonal(prep))
@@ -217,27 +221,14 @@ def _prep_components(prep: np.ndarray) -> list[tuple[float, int | None, np.ndarr
         for k in range(dim):
             p = float(np.real(prep[k, k]))
             if p > 1e-12:
-                out.append((p, k, dense.basis_state(k, dim)))
+                out.append((p, dense.basis_state(k, dim)))
         return out
     vals, vecs = np.linalg.eigh(prep)
     return [
-        (float(lam), None, np.ascontiguousarray(vec))
+        (float(lam), np.ascontiguousarray(vec))
         for lam, vec in zip(vals, vecs.T)
         if lam > 1e-12
     ]
-
-
-def sample_prep(channel: MPChannel, mu: int, rng: np.random.Generator):
-    """Draw the prepared pure state for outcome mu: (label, vector).
-
-    The label is the computational index for diagonal (mixture or basis)
-    preps and None for general pure preparations.
-    """
-    comps = _prep_components(channel.terms[mu].prep)
-    probs = np.array([c[0] for c in comps])
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(comps), p=probs))
-    return comps[idx][1], comps[idx][2]
 
 
 class _RealizedLocation:
@@ -256,7 +247,7 @@ class _RealizedLocation:
         # flattened outcome list per channel: (term_idx, a, component vector)
         self.outcomes: list[list[tuple[int, int, np.ndarray]]] = []
         # per channel, per term: prep realization
-        self.preps: list[list[list[tuple[float, int | None, np.ndarray]]]] = []
+        self.preps: list[list[list[tuple[float, np.ndarray]]]] = []
         # per channel: each outcome's sign a, and its prep's cumulative
         # probabilities as one row of an inf-padded (outcomes x max preps)
         # table, with the unpadded row lengths
@@ -366,7 +357,7 @@ class _CutEngine:
         if norm < MIN_RESIDUAL_NORM:
             raise NumericFailureError("conditioned on a zero-probability outcome")
         rest = amp / norm
-        chi = loc.preps[chan][loc.outcomes[chan][outcome][0]][prep][2]
+        chi = loc.preps[chan][loc.outcomes[chan][outcome][0]][prep][1]
         state = dense.insert_block(rest, chi, loc.first, loc.span, self.circuit.width)
         lo = self.boundaries[depth]
         hi = self.boundaries[depth + 1] if depth + 1 < len(self.boundaries) else len(self.circuit.layers)
@@ -461,6 +452,8 @@ def run_monte_carlo(
     """Unbiased quasiprobability estimate of the uncut expectation of f."""
     if shots < 1:
         raise InvalidInputError("need at least one shot")
+    if shots > MAX_SHOTS:
+        raise ResourceLimitError(f"shots capped at {MAX_SHOTS}, got {shots}")
     if not cuts.locations:
         raise InvalidInputError("no cut locations; use exact_expectation instead")
     # Philox keys are 128-bit unsigned integers
@@ -515,7 +508,7 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
                 if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
                     continue
                 comps = loc.preps[c][term_idx]
-                qs = np.array([q for q, _, _ in comps])
+                qs = np.array([q for q, _ in comps])
                 qs = qs / qs.sum()
                 for p, q in enumerate(qs):
                     child = engine.child(path, c, o, p)

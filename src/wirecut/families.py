@@ -87,7 +87,11 @@ def gf_trace(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class CommutingFamily:
-    """One family: n generators spanning 2^n - 1 commuting non-identity strings."""
+    """One family: n generators spanning 2^n - 1 commuting non-identity strings.
+
+    Every instance has n independent, mutually commuting generators of width
+    n, checked once here at construction; consumers do not check them again.
+    """
 
     n: int
     generators: tuple[PauliString, ...]
@@ -97,19 +101,16 @@ class CommutingFamily:
             raise InvalidInputError("need exactly n generators")
         if any(g.n != self.n for g in self.generators):
             raise InvalidInputError("generator width mismatch")
+        check_generators(self.generators)
 
     @cached_property
     def members(self) -> frozenset[PauliString]:
-        return expand_family(self.generators)
+        return _pauli_set(self.n, self.member_keys())
 
     def member_keys(self) -> np.ndarray:
         """All 2^n - 1 member masks (z << n) | x as a uint32 array, no Paulis built."""
         n = self.n
-        keys = np.zeros(2**n, dtype=np.uint32)
-        for k, g in enumerate(self.generators):
-            key = np.uint32((g.zbits << n) | g.xbits)
-            keys[1 << k : 2 << k] = keys[: 1 << k] ^ key
-        return keys[1:]
+        return _span_keys([(g.zbits << n) | g.xbits for g in self.generators])
 
     def member_labels(self) -> list[str]:
         """Sorted member labels, computed vectorized (cheap even at n = 12)."""
@@ -167,18 +168,27 @@ def check_generators(generators: Sequence[PauliString]) -> list[int]:
     return vecs
 
 
+def _span_keys(vecs: Sequence[int]) -> np.ndarray:
+    """The 2^k - 1 non-zero GF(2) combinations of k independent packed vectors.
+
+    Combination j XORs the vectors at the set bits of j, as uint32.
+    """
+    keys = np.zeros(1 << len(vecs), dtype=np.uint32)
+    for k, v in enumerate(vecs):
+        keys[1 << k : 2 << k] = keys[: 1 << k] ^ np.uint32(v)
+    return keys[1:]
+
+
+def _pauli_set(n: int, keys: np.ndarray) -> frozenset[PauliString]:
+    mask = (1 << n) - 1
+    return frozenset(PauliString(n, key >> n, key & mask) for key in keys.tolist())
+
+
 def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
     """All non-identity products of the generators, phases dropped."""
     gens = tuple(generators)
     vecs = check_generators(gens)
-    n = gens[0].n
-    mask = (1 << n) - 1
-    keys = [0]
-    for v in vecs:
-        keys += [k ^ v for k in keys]
-    return frozenset(
-        PauliString(n, key >> n, key & mask) for key in keys if key != 0
-    )
+    return _pauli_set(gens[0].n, _span_keys(vecs))
 
 
 def extract_generators(members: Iterable[PauliString]) -> list[PauliString]:
@@ -256,15 +266,15 @@ def validate_partition(partition: FamilyPartition, exhaustive: bool = False) -> 
     for fam in fams:
         if fam.n != n:
             raise InvalidInputError("family width mismatch")
-        check_generators(fam.generators)
     if not fams[-1].is_z_family:
         raise InvalidInputError("last family must be the all-Z family")
     for fam in fams[:-1]:
         # no member may fall in the all-Z strings: X-parts must be independent
         if gf2_rank([g.xbits for g in fam.generators]) != n:
             raise InvalidInputError("non-final family overlaps the all-Z strings")
-    all_keys = np.concatenate([fam.member_keys() for fam in fams])
-    if len(all_keys) != 4**n - 1 or len(np.unique(all_keys)) != 4**n - 1:
+    # members are non-zero keys below 4^n, so 4^n - 1 distinct ones cover all
+    all_keys = np.sort(np.concatenate([fam.member_keys() for fam in fams]))
+    if len(all_keys) != 4**n - 1 or np.any(all_keys[1:] == all_keys[:-1]):
         raise InvalidInputError("families do not disjointly cover all strings")
     if exhaustive:
         for fam in fams:

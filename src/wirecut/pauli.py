@@ -124,11 +124,6 @@ def pauli_from_bits(bits: Sequence[int]) -> PauliString:
     return PauliString(n, z, x)
 
 
-def pauli_to_bits(p: PauliString) -> tuple[int, ...]:
-    """Inverse of :func:`pauli_from_bits`."""
-    return p.bit_vector()
-
-
 def _dot(a: int, b: int) -> int:
     return (a & b).bit_count()
 

@@ -185,6 +185,19 @@ class TestExactAndEstimate:
         assert f"seed {seed}" in err
         assert "Traceback" not in err
 
+    def test_shot_cap_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / "demo_circuit.json"),
+            "--cuts", str(DEMOS / "demo_cut.json"),
+            "--shots", "10000000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "shots capped" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "exact", "--circuit", "no_such_file.json")
         assert code == 2

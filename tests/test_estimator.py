@@ -27,7 +27,6 @@ from wirecut.estimator import (
     enumerate_estimator_mean,
     exact_expectation,
     run_monte_carlo,
-    sample_prep,
     variance_probe,
 )
 
@@ -61,37 +60,24 @@ class TestExactExpectation:
         with pytest.raises(ResourceLimitError):
             exact_expectation(LayeredCircuit(13, ()), PostProcess.parity(13))
 
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_layer_dimension_must_be_a_power_of_two(self, dim):
+        with pytest.raises(InvalidInputError, match="not 2\\^k"):
+            CircuitLayer(1, np.eye(dim))
+
 
 class TestSamplePrep:
-    def test_single_qubit_flip_is_deterministic(self):
-        # third channel of the optimal cut: outcome 0 always re-prepares |1>
-        _, ch = build_optimal_1q().channels[2]
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            label, vec = sample_prep(ch, 0, rng)
-            assert label == 1
-            np.testing.assert_allclose(vec, [0, 1], atol=1e-12)
-
     def test_two_qubit_mixture_frequencies(self):
-        _, ch = build_mub_default(2).channels[-1]
-        rng = np.random.default_rng(1)
-        draws = 20000
-        counts = np.zeros(4)
-        for _ in range(draws):
-            label, _ = sample_prep(ch, 1, rng)  # outcome j = 01
-            counts[label] += 1
-        assert counts[1] == 0
-        for k in (0, 2, 3):
-            p_hat = counts[k] / draws
-            sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
-            assert abs(p_hat - 1 / 3) < 3 * sigma
-
-    def test_unitary_prep_is_fixed(self):
-        _, ch = build_mub_default(1).channels[0]  # X-basis channel
-        rng = np.random.default_rng(2)
-        label, vec = sample_prep(ch, 0, rng)
-        assert label is None
-        np.testing.assert_allclose(np.abs(vec), [1 / np.sqrt(2)] * 2, atol=1e-12)
+        # the computational channel re-prepares, after outcome j = 01, the
+        # uniform mixture of the three other basis states
+        loc = estimator._RealizedLocation(CutLocation(0, 1, build_mub_default(2)), 2)
+        comps = loc.preps[-1][loc.outcomes[-1][1][0]]
+        support = [int(np.flatnonzero(vec)[0]) for _, vec in comps]
+        assert support == [0, 2, 3]
+        for _, vec in comps:
+            assert np.count_nonzero(vec) == 1 and np.max(np.abs(vec)) == 1.0
+        assert loc.prep_counts[-1][1] == 3
+        np.testing.assert_allclose(loc.prep_cums[-1][1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
 
 
 class TestMonteCarlo:
@@ -148,6 +134,15 @@ class TestMonteCarlo:
             run_monte_carlo(
                 demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3), 0
             )
+
+    def test_shot_cap_applies_before_the_engine(self, monkeypatch):
+        def no_engine(*args):
+            raise AssertionError("engine built before the shot cap")
+
+        monkeypatch.setattr(estimator, "_CutEngine", no_engine)
+        cuts = demo_cut(build_optimal_1q())
+        with pytest.raises(ResourceLimitError, match="shots capped"):
+            run_monte_carlo(demo_circuit(), cuts, PostProcess.parity(3), estimator.MAX_SHOTS + 1)
 
     def test_cut_width_mismatch(self):
         from wirecut.channels import build_mub_default
@@ -219,8 +214,8 @@ class TestCutSeparation:
         loc_b = _RealizedLocation(CutLocation(1, 2, d), 3)
         for chan in range(len(loc_a.preps)):
             for term_a, term_b in zip(loc_a.preps[chan], loc_b.preps[chan]):
-                for (qa, la, va), (qb, lb, vb) in zip(term_a, term_b):
-                    assert qa == qb and la == lb
+                for (qa, va), (qb, vb) in zip(term_a, term_b):
+                    assert qa == qb
                     np.testing.assert_array_equal(va, vb)
         # and per-shot trajectories with identical classical records agree
         circ_a = demo_circuit()

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.families import (
@@ -11,6 +13,7 @@ from wirecut.families import (
     CommutingFamily,
     FamilyPartition,
     _line_family,
+    check_generators,
     expand_family,
     extract_generators,
     generate_partition,
@@ -148,9 +151,17 @@ class TestGeneratePartition:
     @pytest.mark.parametrize("labels", [("XI", "XI"), ("XI", "ZI")], ids=["dependent", "anticommuting"])
     def test_validate_rejects_bad_generators(self, labels):
         part = generate_partition(2)
-        bad = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
         with pytest.raises(InvalidInputError):
+            bad = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
             validate_partition(FamilyPartition(2, (bad,) + part.families[1:]))
+
+    def test_validate_rejects_a_repeated_family(self):
+        fams = generate_partition(2).families
+        with pytest.raises(InvalidInputError, match="disjointly cover"):
+            validate_partition(FamilyPartition(2, (fams[0],) + fams[:3] + fams[-1:]))
+
+    def test_validate_full_width(self):
+        validate_partition(generate_partition(12))
 
     @pytest.mark.parametrize("n", [0, 13])
     def test_out_of_range_names_the_range(self, n):
@@ -216,6 +227,57 @@ def brute_force_partition(strings, n):
     return out
 
 
+@st.composite
+def generator_tuples(draw):
+    """n <= 4 and n generators: random strings, or a partition family's
+    generators mixed by random products (a product of one with itself
+    leaves the identity, so these can be invalid too)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        masks = st.integers(0, 2**n - 1)
+        gens = [PauliString(n, draw(masks), draw(masks)) for _ in range(n)]
+    else:
+        gens = list(draw(st.sampled_from(generate_partition(n).families)).generators)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(pairs, max_size=6)):
+            gens[i] = multiply(gens[i], gens[j]).pauli
+    return n, tuple(gens)
+
+
+class TestFamilyConstruction:
+    @pytest.mark.parametrize(
+        "labels",
+        [("XI", "XI"), ("II", "XX"), ("XI", "ZI")],
+        ids=["dependent", "identity", "anticommuting"],
+    )
+    def test_bad_generators_rejected(self, labels):
+        with pytest.raises(InvalidInputError):
+            CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_tuples())
+    def test_construction_agrees_with_check_generators(self, case):
+        n, gens = case
+        try:
+            check_generators(gens)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError):
+                CommutingFamily(n, gens)
+            return
+        labels = CommutingFamily(n, gens).member_labels()
+        assert len(set(labels)) == len(labels) == 2**n - 1
+        assert "I" * n not in labels
+        assert labels == sorted(p.label for p in expand_family(gens))
+        products = set()  # reference: the phase-free product of every subset
+        for subset in range(1, 2**n):
+            p = PauliString.identity(n)
+            for k in range(n):
+                if subset >> k & 1:
+                    p = multiply(p, gens[k]).pauli
+            products.add(p.label)
+        assert labels == sorted(products)
+
+
 class TestGenerators:
     def test_single_qubit(self):
         assert extract_generators({PauliString.from_label("X")}) == [
@@ -261,6 +323,12 @@ class TestGenerators:
             expand_family(
                 [PauliString.from_label("XI"), PauliString.from_label("XI")]
             )
+
+    def test_expand_widest_strings(self):
+        # packed keys (z << n) | x reach 2^32 - 1 at the widest n = 16
+        top = PauliString(16, 0xFFFF, 0xFFFF)
+        low = PauliString(16, 0xC000, 0)
+        assert expand_family([top, low]) == {top, low, PauliString(16, 0x3FFF, 0xFFFF)}
 
     def test_expand_examples(self):
         assert {p.label for p in expand_family([PauliString.from_label("X")])} == {"X"}

@@ -20,7 +20,6 @@ from wirecut.pauli import (
     pauli_from_bits,
     pauli_from_index,
     pauli_index,
-    pauli_to_bits,
     pauli_vector,
     to_dense,
 )
@@ -49,10 +48,10 @@ class TestEncoding:
         assert pauli_from_bits([0] * 6).label == "III"
 
     def test_pauli_to_bits_known_values(self):
-        assert pauli_to_bits(PauliString.from_label("Z")) == (1, 0)
-        assert pauli_to_bits(PauliString.from_label("I" * 4)) == (0,) * 8
+        assert PauliString.from_label("Z").bit_vector() == (1, 0)
+        assert PauliString.from_label("I" * 4).bit_vector() == (0,) * 8
         # X on qubit 1, Y on qubit 2 -> (z_1, z_2, x_1, x_2)
-        assert pauli_to_bits(PauliString.from_label("XY")) == (0, 1, 1, 1)
+        assert PauliString.from_label("XY").bit_vector() == (0, 1, 1, 1)
 
     def test_xy_bits_against_dense(self):
         p = pauli_from_bits((0, 1, 1, 1))
@@ -62,15 +61,15 @@ class TestEncoding:
         for n in (1, 2):
             for bits in itertools.product((0, 1), repeat=2 * n):
                 p = pauli_from_bits(bits)
-                assert pauli_to_bits(p) == bits
-                assert pauli_from_bits(pauli_to_bits(p)) == p
+                assert p.bit_vector() == bits
+                assert pauli_from_bits(p.bit_vector()) == p
 
     def test_round_trip_randomized_larger_n(self):
         rng = np.random.default_rng(7)
         for n in range(3, 9):
             for _ in range(50):
                 bits = tuple(int(b) for b in rng.integers(0, 2, size=2 * n))
-                assert pauli_to_bits(pauli_from_bits(bits)) == bits
+                assert pauli_from_bits(bits).bit_vector() == bits
 
     def test_odd_length_rejected(self):
         with pytest.raises(InvalidInputError):

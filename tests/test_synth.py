@@ -309,12 +309,46 @@ class TestGeneratorVerifier:
         """As member expansion did.
 
         H on both qubits maps XI, II and XX to x = 0, so only the generator
-        check rejects the dependent cases.
+        check, made when the family is built, rejects the dependent cases.
         """
-        fam = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
         circ = CliffordCircuit.from_gates(2, [Gate("H", (1,)), Gate("H", (2,))])
         with pytest.raises(InvalidInputError):
+            fam = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
             verify_diagonalizes_symplectic(circ, fam)
+
+
+class TestGateAndCircuitChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Gate("T", (1,)), "unknown gate"),
+            (lambda: Gate("H", (1, 2)), "H takes 1 qubit"),
+            (lambda: Gate("CZ", (1,)), "CZ takes 2 qubit"),
+            (lambda: Gate("CZ", (2, 2)), "CZ qubits must differ"),
+            (lambda: Gate("SDG", (0,)), "1-based"),
+            (lambda: Gate("CZ", (0, 1)), "1-based"),
+            (lambda: CliffordCircuit(2, ((Gate("H", (3,)),),)), "exceeds circuit width"),
+            (lambda: CliffordCircuit.from_gates(2, [Gate("CZ", (1, 3))]), "exceeds circuit width"),
+            (
+                lambda: CliffordCircuit(3, ((Gate("H", (2,)), Gate("CZ", (1, 2))),)),
+                "used twice",
+            ),
+        ],
+        ids=[
+            "unknown_name",
+            "wrong_arity",
+            "cz_one_qubit",
+            "cz_same_qubit",
+            "qubit_0",
+            "cz_qubit_0",
+            "qubit_above_n",
+            "qubit_above_n_from_gates",
+            "qubit_reused_in_layer",
+        ],
+    )
+    def test_rejected(self, build, message):
+        with pytest.raises(InvalidInputError, match=message):
+            build()
 
 
 class TestTextFormat:
