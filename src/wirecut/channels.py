@@ -47,9 +47,49 @@ PSD_FLOOR = -1e-10
 Weight = Fraction | float
 
 
-def _check_hermitian(mat: np.ndarray, what: str) -> None:
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-        raise InvalidInputError(f"{what} is not hermitian")
+def _not_hermitian(stack: np.ndarray) -> np.ndarray:
+    return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10
+
+
+def _not_psd(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a hermitian (T, d, d) stack: is an eigenvalue below PSD_FLOOR?
+
+    One batched Cholesky factorisation of stack + (|PSD_FLOOR|/2) I that
+    succeeds clears the whole stack, provided no entry exceeds 1 in magnitude
+    and d <= 2^MAX_PTM_QUBITS.  A completed factorisation is exact for the
+    shifted matrix plus a backward error whose entries are at most
+    gamma_(d+1) times its largest diagonal entry, so the error's norm is
+    about d^2 eps, under 1e-11 for d <= 64.  Every eigenvalue is then above
+    PSD_FLOOR/2 - 1e-11, and eigvalsh, whose error is also about d^2 eps
+    here, would pass the matrix too.  Otherwise eigvalsh decides, so every
+    rejection comes from eigvalsh.  Both read only the lower triangle.
+    """
+    dim = stack.shape[-1]
+    if dim <= 2**MAX_PTM_QUBITS and np.abs(stack).max() <= 1.0:
+        try:
+            np.linalg.cholesky(stack + abs(PSD_FLOOR) / 2 * np.eye(dim))
+            return np.zeros(len(stack), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.eigvalsh(stack).min(axis=-1) < PSD_FLOOR
+
+
+# (message, which terms fail) per check on the stacked effects and preps, in
+# the order one term is checked
+_TERM_CHECKS = (
+    (
+        "term matrices must be finite",
+        lambda e, p: ~(np.isfinite(e).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))),
+    ),
+    ("POVM effect is not hermitian", lambda e, p: _not_hermitian(e)),
+    ("prepared state is not hermitian", lambda e, p: _not_hermitian(p)),
+    ("POVM effect is not positive semidefinite", lambda e, p: _not_psd(e)),
+    ("prepared state is not positive semidefinite", lambda e, p: _not_psd(p)),
+    (
+        "prepared state must have unit trace",
+        lambda e, p: np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > 1e-10,
+    ),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,29 +107,39 @@ class ChannelTerm:
 
 @dataclass(frozen=True, eq=False)
 class MPChannel:
-    """Measure-and-prepare channel on n qubits."""
+    """Measure-and-prepare channel on n qubits.
+
+    Construction checks every term and raises InvalidInputError naming the
+    first failing check of the first failing term.  A term is checked for,
+    in order: 2^n x 2^n effect and prep, finite entries, a hermitian effect,
+    a hermitian prep, a positive semidefinite effect, a positive
+    semidefinite prep (smallest eigenvalue at least PSD_FLOOR), and a prep
+    of unit trace.  Then the effects must sum to the identity, which an
+    empty channel fails.
+    """
 
     n: int
     terms: tuple[ChannelTerm, ...]
 
     def __post_init__(self):
         dim = 2**self.n
-        total = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            if t.effect.shape != (dim, dim) or t.prep.shape != (dim, dim):
-                raise InvalidInputError("term matrices do not match qubit count")
-            if not (np.isfinite(t.effect).all() and np.isfinite(t.prep).all()):
-                raise InvalidInputError("term matrices must be finite")
-            _check_hermitian(t.effect, "POVM effect")
-            _check_hermitian(t.prep, "prepared state")
-            if np.min(np.linalg.eigvalsh(t.effect)) < PSD_FLOOR:
-                raise InvalidInputError("POVM effect is not positive semidefinite")
-            if np.min(np.linalg.eigvalsh(t.prep)) < PSD_FLOOR:
-                raise InvalidInputError("prepared state is not positive semidefinite")
-            if abs(np.trace(t.prep) - 1.0) > 1e-10:
-                raise InvalidInputError("prepared state must have unit trace")
-            total += t.effect
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        shaped = [t.effect.shape == t.prep.shape == (dim, dim) for t in self.terms]
+        count = shaped.index(False) if False in shaped else len(shaped)
+        error = None if count == len(shaped) else "term matrices do not match qubit count"
+        if count:
+            effects = np.stack([t.effect for t in self.terms[:count]])
+            preps = np.stack([t.prep for t in self.terms[:count]])
+        # Each check sees only the terms before the first failure found so
+        # far, so the error is the one a term-by-term loop would raise.
+        for message, failing in _TERM_CHECKS:
+            if not count:
+                break
+            bad = np.flatnonzero(failing(effects[:count], preps[:count]))
+            if bad.size:
+                count, error = bad[0], message
+        if error:
+            raise InvalidInputError(error)
+        if not self.terms or np.max(np.abs(effects.sum(axis=0) - np.eye(dim))) > 1e-10:
             raise InvalidInputError("POVM effects do not sum to the identity")
 
 

@@ -1,9 +1,13 @@
 """Decomposition builders: exact gamma/m values and transfer-matrix residuals."""
 
+import json
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecut import channels
 from wirecut.channels import (
@@ -26,7 +30,7 @@ from wirecut.channels import (
     tensor_decompositions,
     verify_decomposition,
 )
-from wirecut.dense import basis_state
+from wirecut.dense import basis_state, haar_unitary
 from wirecut.errors import (
     DesignViolationError,
     InvalidInputError,
@@ -262,24 +266,90 @@ class TestProductRule:
         assert verify_decomposition(out) < 1e-10
 
 
+ZERO = projector(basis_state(0, 2))
+ONE = projector(basis_state(1, 2))
+
+
+def term(effect, prep=ZERO):
+    return ChannelTerm(1, np.asarray(effect, dtype=complex), np.asarray(prep, dtype=complex))
+
+
+# case -> (terms of a one-qubit channel, the exact message MPChannel raises)
+REJECTED = {
+    "shape_mismatch": ((term(np.eye(4)),), "term matrices do not match qubit count"),
+    "nan": ((term([[np.nan, 0], [0, 1]]),), "term matrices must be finite"),
+    "inf": ((term(np.eye(2), [[1, 0], [0, np.inf]]),), "term matrices must be finite"),
+    "effect_not_hermitian": ((term([[1, 1], [0, 0]]),), "POVM effect is not hermitian"),
+    "prep_not_hermitian": (
+        (term(np.eye(2), [[1, 0.5j], [0.5j, 0]]),), "prepared state is not hermitian"
+    ),
+    "effect_not_psd": (
+        (term([[2, 0], [0, -1]], [[2, 0], [0, -1]]),),
+        "POVM effect is not positive semidefinite",
+    ),
+    "prep_not_psd": (
+        (term(np.eye(2), [[3, 0], [0, -1]]),), "prepared state is not positive semidefinite"
+    ),
+    "trace_not_one": (
+        (term(np.eye(2), 2 * projector(PLUS)),), "prepared state must have unit trace"
+    ),
+    "effects_not_summing_to_identity": (
+        (term(projector(PLUS)),), "POVM effects do not sum to the identity"
+    ),
+    "terms_empty": ((), "POVM effects do not sum to the identity"),
+    # term 0 fails the trace check, term 1 the earlier hermitian check
+    "first_failing_term_wins": (
+        (term(ZERO, 2 * ONE), term([[1, 1], [0, 0]])), "prepared state must have unit trace"
+    ),
+    # term 1 fails the hermitian check, term 2 the later trace check
+    "earlier_failure_kept": (
+        (term(ZERO), term([[1, 1], [0, 0]]), term(ONE, 2 * ONE)), "POVM effect is not hermitian"
+    ),
+    # the non-finite term 1 must not reach the eigensolver
+    "nan_after_a_valid_term": (
+        (term(ZERO), term(ONE, [[np.nan, 0], [0, 1]])), "term matrices must be finite"
+    ),
+    # term 1 cannot be stacked, but term 0 fails first
+    "failing_term_before_a_shape_mismatch": (
+        (term([[np.nan, 0], [0, 1]]), term(np.eye(4))), "term matrices must be finite"
+    ),
+}
+
+
+# the builders and widths the benchmark's decompose workload runs
+DECOMPOSE_CASES = [
+    ("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1), ("teleport", 2)
+] + [("mub", n) for n in range(1, 6)]
+built = cache(build_decomposition)
+
+
+@st.composite
+def exported_decompositions(draw):
+    """One or two channels of a builder's output, optionally with every
+    matrix conjugated by one Haar unitary so their entries are arbitrary
+    doubles rather than short fractions."""
+    d = built(*draw(st.sampled_from(DECOMPOSE_CASES)))
+    picked = draw(st.lists(st.integers(0, d.m - 1), min_size=1, max_size=2, unique=True))
+    chosen = [d.channels[i] for i in picked]
+    if draw(st.booleans()):
+        u = haar_unitary(2**d.n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        chosen = [
+            (c, MPChannel(d.n, tuple(
+                ChannelTerm(t.a, u @ t.effect @ u.conj().T, u @ t.prep @ u.conj().T)
+                for t in ch.terms
+            )))
+            for c, ch in chosen
+        ]
+    return Decomposition(d.n, tuple(chosen), d.label)
+
+
 class TestValidationAndJson:
-    def test_povm_must_sum_to_identity(self):
-        with pytest.raises(InvalidInputError):
-            MPChannel(1, (ChannelTerm(1, projector(PLUS), projector(PLUS)),))
-
-    def test_prep_must_be_a_state(self):
-        with pytest.raises(InvalidInputError):
-            MPChannel(
-                1,
-                (
-                    ChannelTerm(1, np.eye(2, dtype=complex), 2 * projector(PLUS)),
-                ),
-            )
-
-    def test_non_finite_term_rejected(self):
-        effect = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        with pytest.raises(InvalidInputError, match="finite"):
-            MPChannel(1, (ChannelTerm(1, effect, projector(PLUS)),))
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected(self, case):
+        terms, message = REJECTED[case]
+        with pytest.raises(InvalidInputError) as excinfo:
+            MPChannel(1, terms)
+        assert str(excinfo.value) == message
 
     def test_bad_sign_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -293,6 +363,19 @@ class TestValidationAndJson:
         assert abs(float(back.gamma) - 3.0) < 1e-12
         assert verify_decomposition(back) < 1e-10
         assert data["gamma"] == 3.0 and data["m"] == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(exported_decompositions())
+    def test_json_round_trip_is_exact(self, d):
+        back = decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d))))
+        assert back.n == d.n and back.m == d.m
+        assert abs(float(back.gamma) - float(d.gamma)) < 1e-12
+        for (_, ch), (_, ch_back) in zip(d.channels, back.channels):
+            assert len(ch_back.terms) == len(ch.terms)
+            for t, t_back in zip(ch.terms, ch_back.terms):
+                assert t_back.a == t.a
+                assert t_back.effect.tobytes() == t.effect.astype(complex).tobytes()
+                assert t_back.prep.tobytes() == t.prep.astype(complex).tobytes()
 
     @pytest.mark.parametrize("n", [-1, 0, 7])
     def test_width_checked_before_matrices(self, monkeypatch, n):
@@ -311,3 +394,69 @@ class TestValidationAndJson:
             build_decomposition("nope", 1)
         with pytest.raises(InvalidInputError):
             build_decomposition("optimal1q", 2)
+
+
+@st.composite
+def planted_stacks(draw):
+    """A hermitian (T, d, d) stack whose smallest eigenvalues sit at
+    PSD_FLOOR (1 +- delta), PSD_FLOOR / 2 (1 +- delta) or 0, to be used as
+    effects or as preps.  Preps get unit trace, so the later trace check
+    cannot mask the verdict; effects may be `big`, with the eigenvalue 2d,
+    so a diagonal entry exceeds 1."""
+    dim = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    as_prep = draw(st.booleans())
+    big = not as_prep and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        anchor = draw(st.sampled_from([1.0, 0.5, 0.0])) * channels.PSD_FLOOR
+        delta = draw(st.sampled_from([1e-1, 1e-3, 1e-6])) * draw(st.sampled_from([1, -1]))
+        eig = np.concatenate([[anchor * (1 + delta)], rng.uniform(0, 1, dim - 1)])
+        if big:
+            eig[-1] = 2 * dim
+        if as_prep:
+            eig[1:] *= (1 - eig[0]) / eig[1:].sum()
+        u = haar_unitary(dim, rng)
+        mat = (u * eig) @ u.conj().T
+        stack.append((mat + mat.conj().T) / 2)
+    return np.array(stack), as_prep, big
+
+
+class TestPsdVerdict:
+    @settings(max_examples=200, deadline=None)
+    @given(planted_stacks())
+    def test_matches_eigvalsh_per_term(self, case):
+        stack, as_prep, big = case
+        dim = stack.shape[-1]
+        eigvalsh = np.linalg.eigvalsh
+        expected = any(eigvalsh(m).min() < channels.PSD_FLOOR for m in stack)
+        if as_prep:
+            terms = [ChannelTerm(1, np.eye(dim) / len(stack), m) for m in stack]
+            failure = "prepared state is not positive semidefinite"
+        else:
+            terms = [ChannelTerm(1, m, projector(basis_state(0, dim))) for m in stack]
+            failure = "POVM effect is not positive semidefinite"
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        message = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", counted)
+            try:
+                MPChannel(dim.bit_length() - 1, tuple(terms))
+            except InvalidInputError as exc:
+                message = str(exc)
+        assert (message == failure) == expected
+        if big:  # entries above 1 are never cleared by the certificate
+            assert calls
+
+    @pytest.mark.parametrize("method, n", DECOMPOSE_CASES)
+    def test_builder_channels_are_certified(self, monkeypatch, method, n):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a builder-made channel")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert build_decomposition(method, n).n == n

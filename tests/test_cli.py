@@ -284,6 +284,7 @@ MALFORMED = {
     "terms_missing": (
         *_decomposition(lambda d: d["channels"][0].pop("terms")), "channels[0].terms"
     ),
+    "terms_empty": (*_decomposition(lambda d: d["channels"][0].update(terms=[])), "channels[0]"),
     "a_missing": (*_term(lambda t: t.pop("a")), "channels[0].terms[0].a"),
     "a_not_sign": (*_term(lambda t: t.update(a=2)), "channels[0]"),
     "effect_missing": (*_term(lambda t: t.pop("effect")), "channels[0].terms[0].effect"),
