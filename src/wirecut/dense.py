@@ -22,17 +22,6 @@ CX_2Q = np.array(
 CZ_2Q = np.diag([1, 1, 1, -1]).astype(complex)
 
 
-def apply_1q(array: np.ndarray, gate: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    """Apply a 2x2 gate on `qubit` (1-based) along axis 0 of size 2^width.
-
-    `array` may carry arbitrary trailing axes (columns of a unitary, say).
-    """
-    lead = 2 ** (qubit - 1)
-    shaped = array.reshape(lead, 2, -1)
-    out = np.einsum("ab,ibj->iaj", gate, shaped)
-    return out.reshape(array.shape)
-
-
 def apply_cz(array: np.ndarray, q1: int, q2: int, width: int) -> np.ndarray:
     """Apply CZ between two (not necessarily adjacent) qubits along axis 0."""
     dim = 2**width
@@ -46,7 +35,11 @@ def apply_cz(array: np.ndarray, q1: int, q2: int, width: int) -> np.ndarray:
 
 
 def apply_block(state: np.ndarray, gate: np.ndarray, first: int, k: int, width: int) -> np.ndarray:
-    """Apply a 2^k x 2^k unitary on the contiguous qubits first..first+k-1."""
+    """Apply a 2^k x 2^k unitary on the contiguous qubits first..first+k-1.
+
+    It acts along axis 0 of `state`, which may carry trailing axes (the
+    columns of a unitary, say).
+    """
     lead = 2 ** (first - 1)
     shaped = state.reshape(lead, 2**k, -1)
     out = np.einsum("ab,ibj->iaj", gate, shaped)
@@ -57,11 +50,12 @@ def partial_inner(state: np.ndarray, vec: np.ndarray, first: int, k: int, width:
     """<vec| applied to the contiguous qubits first..first+k-1 of a pure state.
 
     Returns the (unnormalized) residual vector on the remaining qubits,
-    shaped (2^(first-1), 2^(width-first+1-k)).
+    shaped (2^(first-1), 2^(width-first+1-k)).  A stack of vectors, shaped
+    (..., 2^k), gives one residual per vector, stacked the same way.
     """
     lead = 2 ** (first - 1)
     shaped = state.reshape(lead, 2**k, -1)
-    return np.einsum("b,ibj->ij", vec.conj(), shaped)
+    return np.einsum("...b,ibj->...ij", vec.conj(), shaped)
 
 
 def insert_block(rest: np.ndarray, vec: np.ndarray, first: int, k: int, width: int) -> np.ndarray:

@@ -37,6 +37,7 @@ import numpy as np
 from . import dense
 from .channels import (
     Decomposition,
+    MPChannel,
     _field,
     _int_field,
     _list_field,
@@ -74,7 +75,7 @@ class CircuitLayer:
 
     @property
     def span(self) -> int:
-        return int(np.log2(self.matrix.shape[0]))
+        return len(self.matrix).bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,38 +198,52 @@ def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
     return float(np.sum(np.abs(state) ** 2 * f.table))
 
 
-def _effect_components(effect: np.ndarray) -> list[np.ndarray]:
-    """Rank-1 split E = sum_r v_r v_r^dagger; one entry for projector effects."""
-    vals, vecs = np.linalg.eigh(effect)
-    out = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam > 1e-12:
-            out.append(np.sqrt(lam) * vec)
-    return out
+@dataclass(frozen=True, eq=False)
+class _ChannelTable:
+    """One channel's outcomes as stacked arrays, row o for outcome o.
 
-
-def _prep_components(prep: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Pure-state realization of a prepared state as (prob, vector) pairs.
-
-    Diagonal preps (the uniform computational mixtures and computational
-    basis states) realize as basis states; anything else falls back to its
-    eigendecomposition.
+    The outcomes are the rank-1 components sqrt(lam) v of each term's effect,
+    by term and then by ascending eigenvalue lam > 1e-12.  An outcome
+    re-prepares its term's state, realized as an ensemble of pure states:
+    basis states for a diagonal prep (the computational mixtures and basis
+    states), eigenvectors otherwise.  Prep columns past an outcome's count
+    are padding.
     """
-    dim = prep.shape[0]
-    off = prep - np.diag(np.diagonal(prep))
-    if np.max(np.abs(off)) < 1e-12:
-        out = []
-        for k in range(dim):
-            p = float(np.real(prep[k, k]))
-            if p > 1e-12:
-                out.append((p, dense.basis_state(k, dim)))
-        return out
-    vals, vecs = np.linalg.eigh(prep)
-    return [
-        (float(lam), np.ascontiguousarray(vec))
-        for lam, vec in zip(vals, vecs.T)
-        if lam > 1e-12
-    ]
+
+    effects: np.ndarray  # (O, 2^k) component vectors
+    signs: np.ndarray  # (O,) the sign a of each outcome's term
+    prep_probs: np.ndarray  # (O, P) normalized ensemble weights, 0-padded
+    prep_cums: np.ndarray  # (O, P) their cumulative sums ending in 1, inf-padded
+    prep_counts: np.ndarray  # (O,) ensemble sizes
+    preps: np.ndarray  # (O, P, 2^k) ensemble state vectors
+
+    @classmethod
+    def build(cls, ch: MPChannel) -> "_ChannelTable":
+        vals, vecs = np.linalg.eigh(np.stack([t.effect for t in ch.terms]))
+        terms, cols = np.nonzero(vals > 1e-12)
+        effects = np.sqrt(vals[terms, cols])[:, None] * vecs[terms, :, cols]
+        signs = np.array([t.a for t in ch.terms], dtype=np.float64)
+
+        preps = np.stack([t.prep for t in ch.terms])
+        dim = preps.shape[-1]
+        weights = np.diagonal(preps, axis1=1, axis2=2).real.copy()
+        states = np.broadcast_to(np.eye(dim, dtype=complex), preps.shape).copy()
+        mixed = np.max(np.abs(preps * (1 - np.eye(dim))), axis=(1, 2)) >= 1e-12
+        if mixed.any():
+            weights[mixed], vecs = np.linalg.eigh(preps[mixed])
+            states[mixed] = vecs.transpose(0, 2, 1)
+        keep = weights > 1e-12
+        counts = keep.sum(axis=1)
+        probs = np.zeros((len(preps), counts.max()))
+        cums = np.full_like(probs, np.inf)
+        chis = np.zeros((len(preps), counts.max(), dim), dtype=complex)
+        for t, count in enumerate(counts):
+            q = weights[t, keep[t]]
+            probs[t, :count] = q / q.sum()
+            cums[t, :count] = np.cumsum(probs[t, :count])
+            cums[t, count - 1] = 1.0
+            chis[t, :count] = states[t, keep[t]]
+        return cls(effects, signs[terms], probs[terms], cums[terms], counts[terms], chis[terms])
 
 
 class _RealizedLocation:
@@ -240,41 +255,10 @@ class _RealizedLocation:
         self.span = d.n
         if loc.first_wire < 1 or loc.first_wire + d.n - 1 > width:
             raise InvalidInputError("cut wires lie outside the circuit")
-        self.gamma = float(d.gamma)
         self.channel_cum = np.cumsum(d.probabilities)
         self.channel_cum[-1] = 1.0
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
-        # flattened outcome list per channel: (term_idx, a, component vector)
-        self.outcomes: list[list[tuple[int, int, np.ndarray]]] = []
-        # per channel, per term: prep realization
-        self.preps: list[list[list[tuple[float, np.ndarray]]]] = []
-        # per channel: each outcome's sign a, and its prep's cumulative
-        # probabilities as one row of an inf-padded (outcomes x max preps)
-        # table, with the unpadded row lengths
-        self.outcome_signs: list[np.ndarray] = []
-        self.prep_cums: list[np.ndarray] = []
-        self.prep_counts: list[np.ndarray] = []
-        for _, ch in d.channels:
-            outs = []
-            for t_idx, term in enumerate(ch.terms):
-                for comp in _effect_components(term.effect):
-                    outs.append((t_idx, term.a, comp))
-            self.outcomes.append(outs)
-            per_term = [_prep_components(t.prep) for t in ch.terms]
-            self.preps.append(per_term)
-            cums = []
-            for comps in per_term:
-                probs = np.array([c[0] for c in comps])
-                cum = np.cumsum(probs / probs.sum())
-                cum[-1] = 1.0
-                cums.append(cum)
-            counts = np.array([len(cums[t_idx]) for t_idx, _, _ in outs], dtype=np.int64)
-            table = np.full((len(outs), max(len(c) for c in cums)), np.inf)
-            for o_idx, (t_idx, _, _) in enumerate(outs):
-                table[o_idx, : counts[o_idx]] = cums[t_idx]
-            self.outcome_signs.append(np.array([a for _, a, _ in outs], dtype=np.float64))
-            self.prep_cums.append(table)
-            self.prep_counts.append(counts)
+        self.channels = [_ChannelTable.build(ch) for _, ch in d.channels]
 
 
 class _CutEngine:
@@ -301,30 +285,27 @@ class _CutEngine:
             self.boundaries[0] if self.boundaries else len(circuit.layers),
         )
         self._states: dict[tuple, np.ndarray] = {(): root}
-        self._outcome_cums: dict[tuple, np.ndarray] = {}
-        self._residuals: dict[tuple, np.ndarray] = {}
+        self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._final: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _guard(self) -> None:
         if len(self._states) > MAX_TRAJECTORY_NODES:
             raise ResourceLimitError("trajectory lattice exceeded the node cap")
 
-    def outcome_cum(self, path: tuple, chan: int) -> np.ndarray:
-        """Cumulative outcome probabilities for channel `chan` at node `path`."""
+    def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cumulative probabilities, amplitudes) of channel `chan`'s outcomes
+        at node `path`.  Amplitude row o is the node's state with outcome o's
+        effect vector applied to the cut wires: the unnormalized state of the
+        other wires."""
         key = path + (chan,)
-        cached = self._outcome_cums.get(key)
+        cached = self._outcomes.get(key)
         if cached is not None:
             return cached
         loc = self.locations[len(path) // 3]
-        state = self._states[path]
-        probs = []
-        residuals = []
-        for _, _, comp in loc.outcomes[chan]:
-            amp = dense.partial_inner(state, comp, loc.first, loc.span, self.circuit.width)
-            p = float(np.sum(np.abs(amp) ** 2))
-            probs.append(p)
-            residuals.append(amp)
-        probs = np.array(probs)
+        amps = dense.partial_inner(
+            self._states[path], loc.channels[chan].effects, loc.first, loc.span, self.circuit.width
+        )
+        probs = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2, axis=1)
         if probs.min(initial=0.0) < PROB_FLOOR:
             raise NumericFailureError("negative outcome probability beyond tolerance")
         probs = np.clip(probs, 0.0, None)
@@ -334,14 +315,12 @@ class _CutEngine:
         cum = np.cumsum(probs / total)
         # the table reaches 1 at the last outcome child() can condition on, so
         # rounding leaves no mass on the impossible outcomes after it
-        last = len(residuals) - 1
-        while last > 0 and np.linalg.norm(residuals[last]) < MIN_RESIDUAL_NORM:
+        last = len(amps) - 1
+        while last > 0 and np.linalg.norm(amps[last]) < MIN_RESIDUAL_NORM:
             last -= 1
         cum[last:] = 1.0
-        self._outcome_cums[key] = cum
-        for o_idx, amp in enumerate(residuals):
-            self._residuals[key + (o_idx,)] = amp
-        return cum
+        self._outcomes[key] = (cum, amps)
+        return cum, amps
 
     def child(self, path: tuple, chan: int, outcome: int, prep: int) -> tuple:
         """Path key of the node reached by (channel, outcome, prep) at `path`."""
@@ -351,14 +330,12 @@ class _CutEngine:
         self._guard()
         depth = len(path) // 3
         loc = self.locations[depth]
-        self.outcome_cum(path, chan)  # ensure residual cached
-        amp = self._residuals[path + (chan, outcome)]
+        amp = self.outcomes(path, chan)[1][outcome]
         norm = np.linalg.norm(amp)
         if norm < MIN_RESIDUAL_NORM:
             raise NumericFailureError("conditioned on a zero-probability outcome")
-        rest = amp / norm
-        chi = loc.preps[chan][loc.outcomes[chan][outcome][0]][prep][1]
-        state = dense.insert_block(rest, chi, loc.first, loc.span, self.circuit.width)
+        chi = loc.channels[chan].preps[outcome, prep]
+        state = dense.insert_block(amp / norm, chi, loc.first, loc.span, self.circuit.width)
         lo = self.boundaries[depth]
         hi = self.boundaries[depth + 1] if depth + 1 < len(self.boundaries) else len(self.circuit.layers)
         state = _apply_layers(state, self.circuit, lo, hi)
@@ -417,19 +394,19 @@ def _sample_chunk(
         child_paths: list[tuple] = []
         for key, rows in _groups(nodes * m + chan):
             path, c = paths[key // m], key % m
-            cum = engine.outcome_cum(path, c)
+            cum, _ = engine.outcomes(path, c)
             out = np.minimum(np.searchsorted(cum, u_out[rows], side="right"), len(cum) - 1)
             # each shot counts its outcome's table entries <= u, which is what
             # searchsorted(side="right") returns; the inf padding never counts
-            table = loc.prep_cums[c]
-            prep = (u_prep[rows, None] >= table[out]).sum(axis=1)
-            prep = np.minimum(prep, loc.prep_counts[c][out] - 1)
-            factors[rows] = loc.signs[c] * loc.outcome_signs[c][out]
+            table = loc.channels[c]
+            prep = (u_prep[rows, None] >= table.prep_cums[out]).sum(axis=1)
+            prep = np.minimum(prep, table.prep_counts[out] - 1)
+            factors[rows] = loc.signs[c] * table.signs[out]
             # (outcome, prep) packs into an index of this channel's prep table,
             # so counting the packed values numbers the distinct pairs in order
-            width = table.shape[1]
+            width = table.prep_cums.shape[1]
             packed = out * width + prep
-            present = np.bincount(packed, minlength=table.size) > 0
+            present = np.bincount(packed, minlength=table.prep_cums.size) > 0
             children[rows] = len(child_paths) + (np.cumsum(present) - 1)[packed]
             for pair in np.flatnonzero(present).tolist():
                 child_paths.append(engine.child(path, c, *divmod(pair, width)))
@@ -498,26 +475,22 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
         loc = engine.locations[depth]
         chan_probs = np.diff(loc.channel_cum, prepend=0.0)
         total = 0.0
-        for c in range(len(loc.signs)):
-            cum = engine.outcome_cum(path, c)
+        for c, table in enumerate(loc.channels):
+            cum, amps = engine.outcomes(path, c)
             out_probs = np.diff(cum, prepend=0.0)
-            for o, (term_idx, a, _) in enumerate(loc.outcomes[c]):
+            for o, amp in enumerate(amps):
                 # rounding in the cumulative table can leave a sliver of mass on
                 # an outcome whose conditioned state is zero; it contributes nothing
-                amp = engine._residuals[path + (c, o)]
                 if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
                     continue
-                comps = loc.preps[c][term_idx]
-                qs = np.array([q for q, _ in comps])
-                qs = qs / qs.sum()
-                for p, q in enumerate(qs):
+                for p in range(table.prep_counts[o]):
                     child = engine.child(path, c, o, p)
                     total += (
                         chan_probs[c]
                         * loc.signs[c]
-                        * a
+                        * table.signs[o]
                         * out_probs[o]
-                        * q
+                        * table.prep_probs[o, p]
                         * walk(child, depth + 1)
                     )
         return total

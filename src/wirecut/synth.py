@@ -181,40 +181,23 @@ def conjugate_by_inverse(circuit: CliffordCircuit, p: PauliString) -> PauliStrin
 def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Schedule CZ pairs into qubit-disjoint layers via K_n round-robin coloring.
 
-    Uses at most chi'(K_n) layers: n for odd n, n - 1 for even n.
+    Uses at most chi'(K_n) layers: n for odd n, n - 1 for even n.  On the
+    0-based vertices of K_m, m = n + n % 2, round r pairs m - 1 with r and
+    a with b whenever a + b = 2r (mod m - 1).  As 2 (m/2) = 1 (mod m - 1),
+    pair (a, b) falls in round a if b = m - 1, else (a + b) (m/2) mod (m - 1).
+    Layers keep round order, each sorted, and empty rounds are dropped.
     """
     wanted = set()
     for a, b in pairs:
         if a == b or not (1 <= a <= n and 1 <= b <= n):
             raise InvalidInputError(f"bad qubit pair {(a, b)}")
         wanted.add((min(a, b), max(a, b)))
-    if not wanted:
-        return []
-    m = n if n % 2 == 0 else n + 1  # odd n gets a dummy vertex m
-    rounds: list[list[tuple[int, int]]] = []
-    for r in range(m - 1):
-        layer = []
-        fixed = (m - 1, r)  # vertex m-1 plays vertex r
-        layer.append(fixed)
-        for i in range(1, m // 2):
-            layer.append(((r + i) % (m - 1), (r - i) % (m - 1)))
-        # translate to 1-based and drop pairs touching the dummy vertex
-        real = []
-        for a, b in layer:
-            a, b = a + 1, b + 1
-            if a > n or b > n:
-                continue
-            real.append((min(a, b), max(a, b)))
-        rounds.append(sorted(real))
-    out = []
-    for layer in rounds:
-        chosen = [p for p in layer if p in wanted]
-        if chosen:
-            out.append(chosen)
-    scheduled = {p for layer in out for p in layer}
-    if scheduled != wanted:
-        raise SynthesisError("edge coloring failed to cover all pairs")
-    return out
+    m = n + n % 2  # odd n gets a dummy vertex m - 1 that no pair touches
+    rounds: dict[int, list[tuple[int, int]]] = {}
+    for a, b in sorted(wanted):
+        r = a - 1 if b == m else (a + b - 2) * (m // 2) % (m - 1)
+        rounds.setdefault(r, []).append((a, b))
+    return [rounds[r] for r in sorted(rounds)]
 
 
 def synthesize(family: CommutingFamily, optimize_depth: bool = True) -> CliffordCircuit:
@@ -275,9 +258,9 @@ def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     mat = np.eye(dim, dtype=complex)
     for g in circuit.gates:
         if g.name == "H":
-            mat = dense.apply_1q(mat, dense.H_1Q, g.qubits[0], circuit.n)
+            mat = dense.apply_block(mat, dense.H_1Q, g.qubits[0], 1, circuit.n)
         elif g.name == "SDG":
-            mat = dense.apply_1q(mat, dense.SDG_1Q, g.qubits[0], circuit.n)
+            mat = dense.apply_block(mat, dense.SDG_1Q, g.qubits[0], 1, circuit.n)
         else:
             mat = dense.apply_cz(mat, g.qubits[0], g.qubits[1], circuit.n)
     return mat

@@ -65,19 +65,37 @@ class TestExactExpectation:
         with pytest.raises(InvalidInputError, match="not 2\\^k"):
             CircuitLayer(1, np.eye(dim))
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_layer_span_is_log2_of_dimension(self, k):
+        assert CircuitLayer(1, np.eye(2**k)).span == k
+
 
 class TestSamplePrep:
     def test_two_qubit_mixture_frequencies(self):
         # the computational channel re-prepares, after outcome j = 01, the
         # uniform mixture of the three other basis states
         loc = estimator._RealizedLocation(CutLocation(0, 1, build_mub_default(2)), 2)
-        comps = loc.preps[-1][loc.outcomes[-1][1][0]]
-        support = [int(np.flatnonzero(vec)[0]) for _, vec in comps]
+        table = loc.channels[-1]
+        support = [int(np.flatnonzero(vec)[0]) for vec in table.preps[1]]
         assert support == [0, 2, 3]
-        for _, vec in comps:
+        for vec in table.preps[1]:
             assert np.count_nonzero(vec) == 1 and np.max(np.abs(vec)) == 1.0
-        assert loc.prep_counts[-1][1] == 3
-        np.testing.assert_allclose(loc.prep_cums[-1][1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
+        assert table.prep_counts[1] == 3
+        np.testing.assert_allclose(table.prep_probs[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(table.prep_cums[1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method, n", [("peng", 1), ("randomized", 1), ("teleport", 2), ("mub", 3)]
+    )
+    def test_prep_tables_end_at_exactly_one(self, method, n):
+        """Each outcome's prep row ends at 1.0, so a uniform in [0, 1) never
+        reaches the inf padding after it."""
+        loc = estimator._RealizedLocation(CutLocation(0, 1, build_decomposition(method, n)), n)
+        for table in loc.channels:
+            cols = np.arange(table.prep_cums.shape[1])
+            ends = table.prep_cums[np.arange(len(table.effects)), table.prep_counts - 1]
+            assert np.all(ends == 1.0)
+            assert np.all(np.isinf(table.prep_cums) == (cols >= table.prep_counts[:, None]))
 
 
 class TestMonteCarlo:
@@ -212,11 +230,9 @@ class TestCutSeparation:
         d = build_optimal_1q()
         loc_a = _RealizedLocation(CutLocation(1, 2, d), 3)
         loc_b = _RealizedLocation(CutLocation(1, 2, d), 3)
-        for chan in range(len(loc_a.preps)):
-            for term_a, term_b in zip(loc_a.preps[chan], loc_b.preps[chan]):
-                for (qa, va), (qb, vb) in zip(term_a, term_b):
-                    assert qa == qb
-                    np.testing.assert_array_equal(va, vb)
+        for table_a, table_b in zip(loc_a.channels, loc_b.channels):
+            np.testing.assert_array_equal(table_a.prep_probs, table_b.prep_probs)
+            np.testing.assert_array_equal(table_a.preps, table_b.preps)
         # and per-shot trajectories with identical classical records agree
         circ_a = demo_circuit()
         circ_b = demo_circuit(dense.haar_unitary(4, rng), dense.CX_2Q)
@@ -324,9 +340,9 @@ class TestUnbiasedness:
         )
         impossible = 0
         for c in range(len(engine.locations[0].signs)):
-            widths = np.diff(engine.outcome_cum((), c), prepend=0.0)
-            for o, width in enumerate(widths):
-                if np.linalg.norm(engine._residuals[(c, o)]) < estimator.MIN_RESIDUAL_NORM:
+            cum, amps = engine.outcomes((), c)
+            for width, amp in zip(np.diff(cum, prepend=0.0), amps):
+                if np.linalg.norm(amp) < estimator.MIN_RESIDUAL_NORM:
                     impossible += 1
                     assert width == 0.0
         assert impossible > 0
@@ -437,6 +453,23 @@ def cut_circuits(draw):
 
 
 class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stacked_partial_inner_is_per_vector(self, data):
+        """One call on a stack of vectors gives, bit for bit, the residual
+        each vector gives alone."""
+        width = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, min(width, 5)))
+        first = data.draw(st.integers(1, width - k + 1))
+        rows = data.draw(st.integers(1, 2**k + 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        state = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        vecs = rng.normal(size=(rows, 2**k)) + 1j * rng.normal(size=(rows, 2**k))
+        stacked = dense.partial_inner(state, vecs, first, k, width)
+        assert stacked.shape == (rows, 2 ** (first - 1), 2 ** (width - first + 1 - k))
+        for vec, amp in zip(vecs, stacked):
+            assert amp.tobytes() == dense.partial_inner(state, vec, first, k, width).tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(cut_circuits())
     def test_enumerated_mean_is_exact(self, case):

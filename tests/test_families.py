@@ -125,14 +125,19 @@ class TestGeneratePartition:
         part = generate_partition(3)
         assert len(part.families) == 9
         assert all(len(f.members) == 7 for f in part.families)
-        validate_partition(part, exhaustive=True)
+        validate_partition(part)
         union = set().union(*(f.members for f in part.families))
         assert len(union) == 63
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_structural_invariants(self, n):
         part = generate_partition(n)
-        validate_partition(part, exhaustive=(n <= 3))
+        validate_partition(part)
+        if n <= 3:
+            for fam in part.families:
+                assert len(fam.members) == 2**n - 1
+                for p, q in itertools.combinations(fam.members, 2):
+                    assert commutes(p, q)
 
     def test_deterministic(self):
         assert generate_partition(3) == generate_partition(3)

@@ -141,6 +141,38 @@ class TestEdgeColoring:
         with pytest.raises(InvalidInputError):
             edge_color_cz({(1, 1)}, 2)
 
+    @staticmethod
+    def round_robin_oracle(pairs, n):
+        """Build every round of the K_m round-robin, then keep the wanted pairs."""
+        wanted = {(min(a, b), max(a, b)) for a, b in pairs}
+        m = n if n % 2 == 0 else n + 1
+        out = []
+        for r in range(m - 1):
+            layer = [(m - 1, r)]
+            for i in range(1, m // 2):
+                layer.append(((r + i) % (m - 1), (r - i) % (m - 1)))
+            real = sorted(
+                (min(a, b) + 1, max(a, b) + 1) for a, b in layer if a < n and b < n
+            )
+            chosen = [p for p in real if p in wanted]
+            if chosen:
+                out.append(chosen)
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_full_graph_matches_round_robin_oracle(self, n):
+        pairs = {(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+        assert edge_color_cz(pairs, n) == self.round_robin_oracle(pairs, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pair_subsets_match_round_robin_oracle(self, data):
+        n = data.draw(st.integers(2, 12))
+        every = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        pairs = data.draw(st.lists(st.sampled_from(every), unique=True))
+        flipped = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in pairs]
+        assert edge_color_cz(flipped, n) == self.round_robin_oracle(pairs, n)
+
 
 class TestGateStats:
     def test_single_h(self):
