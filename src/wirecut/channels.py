@@ -14,8 +14,12 @@ target channel; here the target is always the n-qubit identity.  Builders:
   * build_randomized_nq -- 2-design randomized measurement, gamma = 2^(n+1)+1
   * build_teleport_nq   -- teleportation-based, gamma = 2^(n+1)-1, huge m
 
-Weights are exact `fractions.Fraction`s so gamma and m assertions are exact;
-verification happens in double precision through the Pauli transfer matrix.
+Every builder's channel has rank-1 effects |e><e| and re-prepares pure
+states or mixtures of them, so an MPChannel stores the vectors e and the
+prep ensembles; dense matrices are built only for transfer matrices and
+JSON export.  Weights are exact `fractions.Fraction`s so gamma and m
+assertions are exact; verification happens in double precision through
+the Pauli transfer matrix.
 """
 
 from __future__ import annotations
@@ -51,50 +55,10 @@ def _not_hermitian(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10
 
 
-def _not_psd(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of a hermitian (T, d, d) stack: is an eigenvalue below PSD_FLOOR?
-
-    One batched Cholesky factorisation of stack + (|PSD_FLOOR|/2) I that
-    succeeds clears the whole stack, provided no entry exceeds 1 in magnitude
-    and d <= 2^MAX_PTM_QUBITS.  A completed factorisation is exact for the
-    shifted matrix plus a backward error whose entries are at most
-    gamma_(d+1) times its largest diagonal entry, so the error's norm is
-    about d^2 eps, under 1e-11 for d <= 64.  Every eigenvalue is then above
-    PSD_FLOOR/2 - 1e-11, and eigvalsh, whose error is also about d^2 eps
-    here, would pass the matrix too.  Otherwise eigvalsh decides, so every
-    rejection comes from eigvalsh.  Both read only the lower triangle.
-    """
-    dim = stack.shape[-1]
-    if dim <= 2**MAX_PTM_QUBITS and np.abs(stack).max() <= 1.0:
-        try:
-            np.linalg.cholesky(stack + abs(PSD_FLOOR) / 2 * np.eye(dim))
-            return np.zeros(len(stack), dtype=bool)
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.eigvalsh(stack).min(axis=-1) < PSD_FLOOR
-
-
-# (message, which terms fail) per check on the stacked effects and preps, in
-# the order one term is checked
-_TERM_CHECKS = (
-    (
-        "term matrices must be finite",
-        lambda e, p: ~(np.isfinite(e).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))),
-    ),
-    ("POVM effect is not hermitian", lambda e, p: _not_hermitian(e)),
-    ("prepared state is not hermitian", lambda e, p: _not_hermitian(p)),
-    ("POVM effect is not positive semidefinite", lambda e, p: _not_psd(e)),
-    ("prepared state is not positive semidefinite", lambda e, p: _not_psd(p)),
-    (
-        "prepared state must have unit trace",
-        lambda e, p: np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > 1e-10,
-    ),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelTerm:
-    """One POVM outcome: sign a, effect E, prepared state rho."""
+    """One dense term of a channel, as files store it: sign a, effect E,
+    prepared state rho."""
 
     a: int
     effect: np.ndarray
@@ -107,40 +71,137 @@ class ChannelTerm:
 
 @dataclass(frozen=True, eq=False)
 class MPChannel:
-    """Measure-and-prepare channel on n qubits.
+    """Measure-and-prepare channel on n qubits, as stacked arrays, row o for outcome o.
 
-    Construction checks every term and raises InvalidInputError naming the
-    first failing check of the first failing term.  A term is checked for,
-    in order: 2^n x 2^n effect and prep, finite entries, a hermitian effect,
-    a hermitian prep, a positive semidefinite effect, a positive
-    semidefinite prep (smallest eigenvalue at least PSD_FLOOR), and a prep
-    of unit trace.  Then the effects must sum to the identity, which an
-    empty channel fails.
+    Outcome o has the rank-1 effect |e_o><e_o|, e_o = effects[o], and the sign
+    signs[o]; it re-prepares the pure state preps[o, p] with weight
+    prep_probs[o, p], with rows zero-padded to the largest ensemble.  So
+    effects and preps are hermitian and positive by construction, and
+    construction checks only, in order: shapes (O,), (O, 2^n), (O, P) and
+    (O, P, 2^n), finite entries, signs +-1, prep weights >= 0 summing to 1,
+    unit prep vectors (where the weight is positive), and effects summing
+    to the identity, which an empty channel fails.  Dense matrices come in
+    through :meth:`from_terms` and go out through :meth:`dense_terms`.
     """
 
     n: int
-    terms: tuple[ChannelTerm, ...]
+    signs: np.ndarray  # (O,)
+    effects: np.ndarray  # (O, 2^n)
+    prep_probs: np.ndarray  # (O, P)
+    preps: np.ndarray  # (O, P, 2^n)
 
     def __post_init__(self):
+        object.__setattr__(self, "signs", np.asarray(self.signs))
+        for name, dtype in (("effects", complex), ("prep_probs", float), ("preps", complex)):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
         dim = 2**self.n
-        shaped = [t.effect.shape == t.prep.shape == (dim, dim) for t in self.terms]
+        size = self.prep_probs.shape
+        want = ((size[0],), (size[0], dim), size, (*size, dim)) if len(size) == 2 else None
+        if (self.signs.shape, self.effects.shape, size, self.preps.shape) != want:
+            raise InvalidInputError("channel arrays do not match each other or the qubit count")
+        arrays = (self.signs, self.effects, self.prep_probs, self.preps)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise InvalidInputError("channel arrays must be finite")
+        if not np.isin(self.signs, (1, -1)).all():
+            raise InvalidInputError("outcome signs must be +1 or -1")
+        if (self.prep_probs < 0).any():
+            raise InvalidInputError("prep weights must be non-negative")
+        if (np.abs(self.prep_probs.sum(axis=1) - 1.0) > 1e-10).any():
+            raise InvalidInputError("prep weights must sum to 1")
+        norms = np.linalg.norm(self.preps, axis=2)
+        if (np.abs(norms - 1.0)[self.prep_probs > 0] > 1e-10).any():
+            raise InvalidInputError("prep vectors must have unit norm")
+        if np.max(np.abs(self.effects.T @ self.effects.conj() - np.eye(dim))) > 1e-10:
+            raise InvalidInputError("POVM effects do not sum to the identity")
+
+    @classmethod
+    def from_terms(cls, n: int, terms: Sequence[ChannelTerm]) -> "MPChannel":
+        """Channel from dense terms (a, E, rho), as files and hand-made cases give them.
+
+        Raises InvalidInputError naming the first failing check of the first
+        failing term.  A term is checked for, in order: 2^n x 2^n effect and
+        prep, finite entries, a hermitian effect, a hermitian prep, a positive
+        semidefinite effect, a positive semidefinite prep (smallest
+        eigenvalue at least PSD_FLOOR), and a prep of unit trace.
+
+        One batched eigh over the effects and preps decides positivity and
+        factors the terms.  An effect gives one outcome sqrt(lam) v per
+        eigenpair with lam > 1e-12, by term and then by ascending lam, with
+        its term's sign and prep.  A diagonal prep becomes an ensemble of
+        basis states, any other prep one of its eigenvectors, weighted by the
+        normalized diagonal entries or eigenvalues above 1e-12.  The factored
+        channel's own construction then checks that the effects sum to the
+        identity, which an empty term list fails.
+        """
+        dim = 2**n
+        shaped = [t.effect.shape == t.prep.shape == (dim, dim) for t in terms]
         count = shaped.index(False) if False in shaped else len(shaped)
         error = None if count == len(shaped) else "term matrices do not match qubit count"
-        if count:
-            effects = np.stack([t.effect for t in self.terms[:count]])
-            preps = np.stack([t.prep for t in self.terms[:count]])
-        # Each check sees only the terms before the first failure found so
-        # far, so the error is the one a term-by-term loop would raise.
-        for message, failing in _TERM_CHECKS:
-            if not count:
-                break
+        effects = np.zeros((count, dim, dim), dtype=complex)
+        preps = np.zeros_like(effects)
+        for t, term in enumerate(terms[:count]):
+            effects[t], preps[t] = term.effect, term.prep
+
+        def check(message, failing):
+            # Each check sees only the terms before the first failure found
+            # so far, so the error is the one a term-by-term loop would raise.
+            nonlocal count, error
             bad = np.flatnonzero(failing(effects[:count], preps[:count]))
             if bad.size:
                 count, error = bad[0], message
+
+        finite = lambda e, p: np.isfinite(e).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))
+        check("term matrices must be finite", lambda e, p: ~finite(e, p))
+        check("POVM effect is not hermitian", lambda e, p: _not_hermitian(e))
+        check("prepared state is not hermitian", lambda e, p: _not_hermitian(p))
+        # the effects' spectra are rows [0, half), the preps' rows [half, 2 half)
+        half = count
+        vals, vecs = np.linalg.eigh(np.concatenate([effects[:half], preps[:half]]))
+        low = vals.min(axis=1)
+        check("POVM effect is not positive semidefinite", lambda e, p: low[: len(e)] < PSD_FLOOR)
+        check(
+            "prepared state is not positive semidefinite",
+            lambda e, p: low[half : half + len(p)] < PSD_FLOOR,
+        )
+        check(
+            "prepared state must have unit trace",
+            lambda e, p: np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > 1e-10,
+        )
         if error:
             raise InvalidInputError(error)
-        if not self.terms or np.max(np.abs(effects.sum(axis=0) - np.eye(dim))) > 1e-10:
-            raise InvalidInputError("POVM effects do not sum to the identity")
+
+        rows, cols = np.nonzero(vals[:half] > 1e-12)
+        outcome_effects = np.sqrt(vals[rows, cols])[:, None] * vecs[rows, :, cols]
+        weights = np.diagonal(preps, axis1=1, axis2=2).real.copy()
+        states = np.broadcast_to(np.eye(dim, dtype=complex), preps.shape).copy()
+        mixed = np.max(np.abs(preps * (1 - np.eye(dim))), axis=(1, 2)) >= 1e-12
+        weights[mixed] = vals[half:][mixed]
+        states[mixed] = vecs[half:][mixed].transpose(0, 2, 1)
+        keep = weights > 1e-12
+        probs = np.zeros((count, keep.sum(axis=1).max(initial=1)))
+        chis = np.zeros((*probs.shape, dim), dtype=complex)
+        for t in range(count):
+            q = weights[t, keep[t]]
+            probs[t, : len(q)] = q / q.sum()
+            chis[t, : len(q)] = states[t, keep[t]]
+        signs = np.array([t.a for t in terms], dtype=int)
+        return cls(n, signs[rows], outcome_effects, probs[rows], chis[rows])
+
+    def dense_terms(self) -> tuple[ChannelTerm, ...]:
+        """Each outcome as a dense term (a, |e><e|, sum_p w_p |chi_p><chi_p|).
+
+        The products are np.outer's.  A weight scales real and imaginary parts
+        apart and the sum starts from the first state, so a pure prep comes
+        out bit for bit as np.outer(chi, chi.conj()), signed zeros included.
+        """
+        effects = self.effects[:, :, None] * self.effects[:, None, :].conj()
+        preps = None
+        for w, chi in zip(self.prep_probs.T, self.preps.transpose(1, 0, 2)):
+            state = chi[:, :, None] * chi[:, None, :].conj()
+            state.real *= w[:, None, None]
+            state.imag *= w[:, None, None]
+            preps = state if preps is None else preps + state
+        return tuple(ChannelTerm(int(a), e, p) for a, e, p in zip(self.signs, effects, preps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,17 +246,16 @@ def ptm(channel: MPChannel) -> TransferMatrix:
     """Pauli transfer matrix S[k, l] = Tr[sigma_k E(sigma_l)].
 
     For a measure-and-prepare channel this is a sum of outer products of
-    the Pauli vectors of preps and effects.
+    the Pauli vectors of preps and effects.  Every term is hermitian, so the
+    imaginary part is rounding and is dropped.
     """
     n = channel.n
     if n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"transfer matrices capped at {MAX_PTM_QUBITS} qubits")
     size = 4**n
     out = np.zeros((size, size), dtype=complex)
-    for t in channel.terms:
+    for t in channel.dense_terms():
         out += t.a * np.outer(pauli_vector(t.prep, n), pauli_vector(t.effect, n))
-    if np.max(np.abs(out.imag)) > 1e-12:
-        raise NumericFailureError("transfer matrix has a non-real residue")
     return TransferMatrix(n, np.ascontiguousarray(out.real))
 
 
@@ -210,32 +270,30 @@ def verify_decomposition(d: Decomposition) -> float:
     the Pauli vectors of every prep form a 4^n x T matrix, those of every
     effect, scaled by c_i * a, a T x 4^n matrix, where T is the total term
     count.  A channel whose vectors have imaginary parts also appends rows
-    (Im prep, -Im effect) to both stacks, so the real part stays exact; its
-    own transfer matrix's imaginary part Re(P)^T Im(E) + Im(P)^T Re(E) must
-    stay within 1e-12, as :func:`ptm` requires, or NumericFailureError is
-    raised.  Memory is two 4^n x T float64 stacks (about 8.6 MB each for mub
-    at n = 5, T = 1056) plus the 4^n x 4^n product.
+    (Im prep, -Im effect) to both stacks, so the real part stays exact; every
+    term is hermitian, so those parts are rounding.  Memory is two 4^n x T
+    float64 stacks (about 8.6 MB each for mub at n = 5, T = 1056) plus the
+    4^n x 4^n product.
     """
     if d.n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"verification capped at {MAX_PTM_QUBITS} qubits")
     # Filled in place: collecting per-channel blocks and concatenating them
     # would hold every stack twice at the peak.
-    rows = sum(len(ch.terms) for _, ch in d.channels)
+    rows = sum(len(ch.signs) for _, ch in d.channels)
     preps = np.empty((rows, 4**d.n))
     effects = np.empty((rows, 4**d.n))
     imag_preps, imag_effects = [], []
     start = 0
     for c, ch in d.channels:
-        stop = start + len(ch.terms)
-        signs = np.array([t.a for t in ch.terms], dtype=float)[:, None]
-        p = pauli_vector(np.stack([t.prep for t in ch.terms]), d.n)
-        e = pauli_vector(np.stack([t.effect for t in ch.terms]), d.n) * signs
+        terms = ch.dense_terms()
+        stop = start + len(terms)
+        signs = np.array([t.a for t in terms], dtype=float)[:, None]
+        p = pauli_vector(np.stack([t.prep for t in terms]), d.n)
+        e = pauli_vector(np.stack([t.effect for t in terms]), d.n) * signs
         weight = float(c)
         preps[start:stop] = p.real
         effects[start:stop] = weight * e.real
         if p.imag.any() or e.imag.any():
-            if np.max(np.abs(p.real.T @ e.imag + p.imag.T @ e.real)) > 1e-12:
-                raise NumericFailureError("transfer matrix has a non-real residue")
             imag_preps.append(p.imag)
             imag_effects.append(-weight * e.imag)
         start = stop
@@ -268,12 +326,29 @@ _PLUS_I = (_K0 + 1j * _K1) / np.sqrt(2)
 _MINUS_I = (_K0 - 1j * _K1) / np.sqrt(2)
 
 
-def _proj(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+def _pure_channel(n: int, outcomes) -> MPChannel:
+    """Channel from (a, e, chi) triples: outcome |e><e|, sign a, re-prepare |chi>."""
+    signs, effects, preps = zip(*outcomes)
+    return MPChannel(n, np.array(signs), np.array(effects), np.ones((len(signs), 1)),
+                     np.array(preps)[:, None, :])
 
 
-def _term(a: int, effect_vec: np.ndarray, prep_vec: np.ndarray) -> ChannelTerm:
-    return ChannelTerm(a, _proj(effect_vec), _proj(prep_vec))
+def _basis_channel(n: int, u: np.ndarray) -> MPChannel:
+    """Measure in the basis of u's columns and re-prepare the outcome."""
+    return _pure_channel(n, [(1, v, v) for v in u.T])
+
+
+def _computational_channel(n: int, exclude_outcome: bool) -> MPChannel:
+    """Measure in the computational basis and re-prepare a uniform mixture
+    of basis states: all of them, or all but the outcome."""
+    dim = 2**n
+    basis = np.eye(dim, dtype=complex)
+    if exclude_outcome:
+        preps = np.array([np.delete(basis, j, axis=0) for j in range(dim)])
+    else:
+        preps = np.broadcast_to(basis, (dim, dim, dim))
+    probs = np.full(preps.shape[:2], 1.0 / preps.shape[1])
+    return MPChannel(n, np.ones(dim, dtype=int), basis, probs, preps)
 
 
 def build_peng_1q() -> Decomposition:
@@ -289,10 +364,7 @@ def build_peng_1q() -> Decomposition:
         (half, [(1, _K0, _K0), (-1, _K1, _K0)]),
         (-half, [(1, _K0, _K1), (-1, _K1, _K1)]),
     ]
-    channels = tuple(
-        (c, MPChannel(1, tuple(_term(a, e, p) for a, e, p in terms)))
-        for c, terms in rows
-    )
+    channels = tuple((c, _pure_channel(1, terms)) for c, terms in rows)
     return Decomposition(1, channels, "peng")
 
 
@@ -300,19 +372,11 @@ def build_optimal_1q() -> Decomposition:
     """Three channels: X and Y eigenbasis measure-and-reprepare, minus a bit flip."""
     one = Fraction(1)
     channels = (
-        (one, MPChannel(1, (_term(1, _PLUS, _PLUS), _term(1, _MINUS, _MINUS)))),
-        (one, MPChannel(1, (_term(1, _PLUS_I, _PLUS_I), _term(1, _MINUS_I, _MINUS_I)))),
-        (-one, MPChannel(1, (_term(1, _K0, _K1), _term(1, _K1, _K0)))),
+        (one, _pure_channel(1, [(1, _PLUS, _PLUS), (1, _MINUS, _MINUS)])),
+        (one, _pure_channel(1, [(1, _PLUS_I, _PLUS_I), (1, _MINUS_I, _MINUS_I)])),
+        (-one, _pure_channel(1, [(1, _K0, _K1), (1, _K1, _K0)])),
     )
     return Decomposition(1, channels, "optimal1q")
-
-
-def _mixture_excluding(n: int, j: int) -> np.ndarray:
-    """Uniform mixture of computational states |k><k| with k != j."""
-    dim = 2**n
-    diag = np.full(dim, 1.0 / (dim - 1))
-    diag[j] = 0.0
-    return np.diag(diag).astype(complex)
 
 
 def build_mub_nq(
@@ -331,20 +395,8 @@ def build_mub_nq(
             raise InvalidInputError(
                 "circuit does not diagonalize its family; refuse to build"
             )
-    dim = 2**n
-    channels: list[tuple[Weight, MPChannel]] = []
-    for circ in circuits:
-        u = circuit_unitary(circ)
-        terms = []
-        for j in range(dim):
-            proj = _proj(u[:, j])
-            terms.append(ChannelTerm(1, proj, proj))
-        channels.append((Fraction(1), MPChannel(n, tuple(terms))))
-    comp_terms = tuple(
-        ChannelTerm(1, _proj(basis_state(j, dim)), _mixture_excluding(n, j))
-        for j in range(dim)
-    )
-    channels.append((Fraction(-(dim - 1)), MPChannel(n, comp_terms)))
+    channels = [(Fraction(1), _basis_channel(n, circuit_unitary(circ))) for circ in circuits]
+    channels.append((Fraction(-(2**n - 1)), _computational_channel(n, exclude_outcome=True)))
     return Decomposition(n, tuple(channels), "mub")
 
 
@@ -411,17 +463,9 @@ def build_randomized_nq(
         u = np.asarray(u, dtype=complex)
         if not is_unitary(u) or u.shape != (dim, dim):
             raise InvalidInputError("non-unitary matrix in the ensemble")
-        terms = []
-        for j in range(dim):
-            proj = _proj(u[:, j])
-            terms.append(ChannelTerm(1, proj, proj))
-        channels.append(((dim + 1) * p, MPChannel(n, tuple(terms))))
-    mixed = np.eye(dim, dtype=complex) / dim
-    comp_terms = tuple(
-        ChannelTerm(1, _proj(basis_state(j, dim)), mixed) for j in range(dim)
-    )
+        channels.append(((dim + 1) * p, _basis_channel(n, u)))
     channels.append((Fraction(-dim) if isinstance(probs[0], Fraction) else -float(dim),
-                     MPChannel(n, comp_terms)))
+                     _computational_channel(n, exclude_outcome=False)))
     out = Decomposition(n, tuple(channels), "randomized")
     residual = verify_decomposition(out)
     if residual > PTM_TOL:
@@ -491,22 +535,17 @@ def build_teleport_nq(n: int) -> Decomposition:
     channels: list[tuple[Weight, MPChannel]] = []
     for r in range(big):
         e_conj = ladder[r].conj()
-        terms = []
-        for mu in range(4**n):
-            v = bell_mats[mu] @ e_conj
-            w = corrections[mu] @ e_conj
-            terms.append(ChannelTerm(1, _proj(v), _proj(w)))
-        channels.append((Fraction(dim, big), MPChannel(n, tuple(terms))))
+        terms = [(1, bell_mats[mu] @ e_conj, corrections[mu] @ e_conj) for mu in range(4**n)]
+        channels.append((Fraction(dim, big), _pure_channel(n, terms)))
     for j in range(dim):
         for k in range(dim):
             if j == k:
                 continue
-            terms = []
-            for mu in range(4**n):
-                v = bell_mats[mu][:, j]
-                w = corrections[mu] @ basis_state(k, dim)
-                terms.append(ChannelTerm(1, _proj(v), _proj(w)))
-            channels.append((Fraction(-1, dim), MPChannel(n, tuple(terms))))
+            terms = [
+                (1, bell_mats[mu][:, j], corrections[mu] @ basis_state(k, dim))
+                for mu in range(4**n)
+            ]
+            channels.append((Fraction(-1, dim), _pure_channel(n, terms)))
     return Decomposition(n, tuple(channels), "teleport")
 
 
@@ -514,18 +553,20 @@ def tensor_decompositions(d1: Decomposition, d2: Decomposition) -> Decomposition
     """Product decomposition on n1 + n2 qubits; weights and channels multiply."""
     n = d1.n + d2.n
     channels = []
+    # outcome pairs (o1, o2) and prep pairs (p1, p2) in row-major order, as kron orders them
     for c1, ch1 in d1.channels:
         for c2, ch2 in d2.channels:
-            terms = tuple(
-                ChannelTerm(
-                    t1.a * t2.a,
-                    np.kron(t1.effect, t2.effect),
-                    np.kron(t1.prep, t2.prep),
-                )
-                for t1 in ch1.terms
-                for t2 in ch2.terms
+            outcomes = len(ch1.signs) * len(ch2.signs)
+            product = MPChannel(
+                n,
+                np.outer(ch1.signs, ch2.signs).ravel(),
+                np.einsum("ai,bj->abij", ch1.effects, ch2.effects).reshape(outcomes, -1),
+                np.einsum("ap,bq->abpq", ch1.prep_probs, ch2.prep_probs).reshape(outcomes, -1),
+                np.einsum("api,bqj->abpqij", ch1.preps, ch2.preps).reshape(
+                    outcomes, ch1.preps.shape[1] * ch2.preps.shape[1], -1
+                ),
             )
-            channels.append((c1 * c2, MPChannel(n, terms)))
+            channels.append((c1 * c2, product))
     return Decomposition(n, tuple(channels), f"{d1.label}x{d2.label}")
 
 
@@ -606,7 +647,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
                         "effect": _matrix_to_json(t.effect),
                         "prep": _matrix_to_json(t.prep),
                     }
-                    for t in ch.terms
+                    for t in ch.dense_terms()
                 ],
             }
             for c, ch in d.channels
@@ -640,7 +681,7 @@ def decomposition_from_json(data: dict) -> Decomposition:
                 )
             )
         try:
-            channel = MPChannel(n, tuple(ChannelTerm(*t) for t in terms))
+            channel = MPChannel.from_terms(n, [ChannelTerm(*t) for t in terms])
         except InvalidInputError as exc:
             raise InvalidInputError(f"field {where.rstrip('.')}: {exc}") from None
         channels.append((float(weight), channel))

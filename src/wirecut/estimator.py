@@ -37,7 +37,6 @@ import numpy as np
 from . import dense
 from .channels import (
     Decomposition,
-    MPChannel,
     _field,
     _int_field,
     _list_field,
@@ -48,7 +47,6 @@ from .channels import (
 from .errors import InvalidInputError, NumericFailureError, ResourceLimitError
 
 MAX_SIM_QUBITS = 12
-PROB_FLOOR = -1e-9
 MAX_TRAJECTORY_NODES = 1 << 18
 # a conditioned state below this norm came from a zero-probability outcome
 MIN_RESIDUAL_NORM = 1e-15
@@ -198,56 +196,19 @@ def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
     return float(np.sum(np.abs(state) ** 2 * f.table))
 
 
-@dataclass(frozen=True, eq=False)
-class _ChannelTable:
-    """One channel's outcomes as stacked arrays, row o for outcome o.
-
-    The outcomes are the rank-1 components sqrt(lam) v of each term's effect,
-    by term and then by ascending eigenvalue lam > 1e-12.  An outcome
-    re-prepares its term's state, realized as an ensemble of pure states:
-    basis states for a diagonal prep (the computational mixtures and basis
-    states), eigenvectors otherwise.  Prep columns past an outcome's count
-    are padding.
-    """
-
-    effects: np.ndarray  # (O, 2^k) component vectors
-    signs: np.ndarray  # (O,) the sign a of each outcome's term
-    prep_probs: np.ndarray  # (O, P) normalized ensemble weights, 0-padded
-    prep_cums: np.ndarray  # (O, P) their cumulative sums ending in 1, inf-padded
-    prep_counts: np.ndarray  # (O,) ensemble sizes
-    preps: np.ndarray  # (O, P, 2^k) ensemble state vectors
-
-    @classmethod
-    def build(cls, ch: MPChannel) -> "_ChannelTable":
-        vals, vecs = np.linalg.eigh(np.stack([t.effect for t in ch.terms]))
-        terms, cols = np.nonzero(vals > 1e-12)
-        effects = np.sqrt(vals[terms, cols])[:, None] * vecs[terms, :, cols]
-        signs = np.array([t.a for t in ch.terms], dtype=np.float64)
-
-        preps = np.stack([t.prep for t in ch.terms])
-        dim = preps.shape[-1]
-        weights = np.diagonal(preps, axis1=1, axis2=2).real.copy()
-        states = np.broadcast_to(np.eye(dim, dtype=complex), preps.shape).copy()
-        mixed = np.max(np.abs(preps * (1 - np.eye(dim))), axis=(1, 2)) >= 1e-12
-        if mixed.any():
-            weights[mixed], vecs = np.linalg.eigh(preps[mixed])
-            states[mixed] = vecs.transpose(0, 2, 1)
-        keep = weights > 1e-12
-        counts = keep.sum(axis=1)
-        probs = np.zeros((len(preps), counts.max()))
-        cums = np.full_like(probs, np.inf)
-        chis = np.zeros((len(preps), counts.max(), dim), dtype=complex)
-        for t, count in enumerate(counts):
-            q = weights[t, keep[t]]
-            probs[t, :count] = q / q.sum()
-            cums[t, :count] = np.cumsum(probs[t, :count])
-            cums[t, count - 1] = 1.0
-            chis[t, :count] = states[t, keep[t]]
-        return cls(effects, signs[terms], probs[terms], cums[terms], counts[terms], chis[terms])
+def _prep_cums(probs: np.ndarray) -> np.ndarray:
+    """Cumulative prep weights per outcome row, 1.0 from its last positive
+    weight on, so a uniform in [0, 1) counts no entry past it and a
+    zero-weight state is never drawn."""
+    cums = np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    cums[np.arange(probs.shape[1]) >= last[:, None]] = 1.0
+    return cums
 
 
 class _RealizedLocation:
-    """Sampling tables for one cut location, state-independent parts."""
+    """Sampling tables for one cut location, state-independent parts: the
+    channel table, and per channel its MPChannel and cumulative prep table."""
 
     def __init__(self, loc: CutLocation, width: int):
         d = loc.decomposition
@@ -258,7 +219,8 @@ class _RealizedLocation:
         self.channel_cum = np.cumsum(d.probabilities)
         self.channel_cum[-1] = 1.0
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
-        self.channels = [_ChannelTable.build(ch) for _, ch in d.channels]
+        self.channels = [ch for _, ch in d.channels]
+        self.prep_cums = [_prep_cums(ch.prep_probs) for ch in self.channels]
 
 
 class _CutEngine:
@@ -306,9 +268,6 @@ class _CutEngine:
             self._states[path], loc.channels[chan].effects, loc.first, loc.span, self.circuit.width
         )
         probs = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2, axis=1)
-        if probs.min(initial=0.0) < PROB_FLOOR:
-            raise NumericFailureError("negative outcome probability beyond tolerance")
-        probs = np.clip(probs, 0.0, None)
         total = probs.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
@@ -397,16 +356,15 @@ def _sample_chunk(
             cum, _ = engine.outcomes(path, c)
             out = np.minimum(np.searchsorted(cum, u_out[rows], side="right"), len(cum) - 1)
             # each shot counts its outcome's table entries <= u, which is what
-            # searchsorted(side="right") returns; the inf padding never counts
-            table = loc.channels[c]
-            prep = (u_prep[rows, None] >= table.prep_cums[out]).sum(axis=1)
-            prep = np.minimum(prep, table.prep_counts[out] - 1)
-            factors[rows] = loc.signs[c] * table.signs[out]
+            # searchsorted(side="right") returns; the 1.0 tail never counts
+            cums = loc.prep_cums[c]
+            prep = (u_prep[rows, None] >= cums[out]).sum(axis=1)
+            factors[rows] = loc.signs[c] * loc.channels[c].signs[out]
             # (outcome, prep) packs into an index of this channel's prep table,
             # so counting the packed values numbers the distinct pairs in order
-            width = table.prep_cums.shape[1]
+            width = cums.shape[1]
             packed = out * width + prep
-            present = np.bincount(packed, minlength=table.prep_cums.size) > 0
+            present = np.bincount(packed, minlength=cums.size) > 0
             children[rows] = len(child_paths) + (np.cumsum(present) - 1)[packed]
             for pair in np.flatnonzero(present).tolist():
                 child_paths.append(engine.child(path, c, *divmod(pair, width)))
@@ -475,7 +433,7 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
         loc = engine.locations[depth]
         chan_probs = np.diff(loc.channel_cum, prepend=0.0)
         total = 0.0
-        for c, table in enumerate(loc.channels):
+        for c, ch in enumerate(loc.channels):
             cum, amps = engine.outcomes(path, c)
             out_probs = np.diff(cum, prepend=0.0)
             for o, amp in enumerate(amps):
@@ -483,14 +441,14 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
                 # an outcome whose conditioned state is zero; it contributes nothing
                 if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
                     continue
-                for p in range(table.prep_counts[o]):
+                for p in np.flatnonzero(ch.prep_probs[o]).tolist():
                     child = engine.child(path, c, o, p)
                     total += (
                         chan_probs[c]
                         * loc.signs[c]
-                        * table.signs[o]
+                        * ch.signs[o]
                         * out_probs[o]
-                        * table.prep_probs[o, p]
+                        * ch.prep_probs[o, p]
                         * walk(child, depth + 1)
                     )
         return total

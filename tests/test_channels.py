@@ -34,7 +34,6 @@ from wirecut.dense import basis_state, haar_unitary
 from wirecut.errors import (
     DesignViolationError,
     InvalidInputError,
-    NumericFailureError,
     ResourceLimitError,
 )
 from wirecut.families import generate_partition
@@ -56,7 +55,7 @@ class TestPtm:
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
     def test_x_measure_plus_prepare_pattern(self):
-        ch = MPChannel(
+        ch = MPChannel.from_terms(
             1,
             (
                 ChannelTerm(1, projector(PLUS), projector(PLUS)),
@@ -73,7 +72,7 @@ class TestPtm:
         # all signs +1 makes the channel trace preserving: first row = e_1
         group = single_qubit_clifford_group()
         u = group[5]
-        ch = MPChannel(
+        ch = MPChannel.from_terms(
             1,
             tuple(
                 ChannelTerm(1, projector(u[:, j]), projector(u[:, j]))
@@ -86,7 +85,7 @@ class TestPtm:
     def test_resource_guard(self):
         dim = 2**7
         ident = np.eye(dim, dtype=complex)
-        ch = MPChannel(7, (ChannelTerm(1, ident, projector(basis_state(0, dim))),))
+        ch = MPChannel.from_terms(7, (ChannelTerm(1, ident, projector(basis_state(0, dim))),))
         with pytest.raises(ResourceLimitError):
             ptm(ch)
 
@@ -116,16 +115,18 @@ class TestVerifyDecomposition:
         assert abs(residual - _reference_residual(bad)) <= 1e-12
         assert residual >= 0.005
 
-    def test_non_real_residue_raises(self):
-        # i*X is anti-hermitian; at 3e-11 it passes the 1e-10 hermitian check
-        # but leaves an imaginary transfer-matrix entry of about 3e-11.
+    def test_anti_hermitian_input_part_is_dropped(self):
+        # i*X is anti-hermitian; at 3e-11 it passes the 1e-10 hermitian check,
+        # and factoring reads one triangle, so the channel does not keep it.
         eps_ix = 3e-11j * np.array([[0, 1], [1, 0]])
         k0, k1 = projector(basis_state(0, 2)), projector(basis_state(1, 2))
-        ch = MPChannel(1, (ChannelTerm(1, k0 + eps_ix, k0), ChannelTerm(1, k1 - eps_ix, k1)))
-        with pytest.raises(NumericFailureError, match="non-real residue"):
-            ptm(ch)
-        with pytest.raises(NumericFailureError, match="non-real residue"):
-            verify_decomposition(Decomposition(1, ((Fraction(1), ch),), "non-real"))
+        ch = MPChannel.from_terms(
+            1, (ChannelTerm(1, k0 + eps_ix, k0), ChannelTerm(1, k1 - eps_ix, k1))
+        )
+        for t in ch.dense_terms():
+            assert np.max(np.abs(t.effect - t.effect.conj().T)) < 1e-15
+        assert np.max(np.abs(ptm(ch).entries - ptm(MPChannel.from_terms(
+            1, (ChannelTerm(1, k0, k0), ChannelTerm(1, k1, k1)))).entries)) < 1e-10
 
 
 class TestPeng:
@@ -155,10 +156,11 @@ class TestOptimal1q:
     def test_third_channel_is_bit_flip(self):
         c, ch = build_optimal_1q().channels[2]
         assert c == Fraction(-1)
-        np.testing.assert_allclose(ch.terms[0].effect, projector(basis_state(0, 2)))
-        np.testing.assert_allclose(ch.terms[0].prep, projector(basis_state(1, 2)))
-        np.testing.assert_allclose(ch.terms[1].effect, projector(basis_state(1, 2)))
-        np.testing.assert_allclose(ch.terms[1].prep, projector(basis_state(0, 2)))
+        terms = ch.dense_terms()
+        np.testing.assert_allclose(terms[0].effect, projector(basis_state(0, 2)))
+        np.testing.assert_allclose(terms[0].prep, projector(basis_state(1, 2)))
+        np.testing.assert_allclose(terms[1].effect, projector(basis_state(1, 2)))
+        np.testing.assert_allclose(terms[1].prep, projector(basis_state(0, 2)))
 
     def test_residual(self):
         assert verify_decomposition(build_optimal_1q()) < 1e-10
@@ -316,6 +318,45 @@ REJECTED = {
 }
 
 
+def x_basis_arrays():
+    """The arrays of a valid one-qubit channel: measure X, then re-prepare
+    |+> after outcome +, an even mixture of |0> and |1> after outcome -."""
+    return {
+        "signs": np.array([1, 1]),
+        "effects": np.array([PLUS, MINUS], dtype=complex),
+        "prep_probs": np.array([[1.0, 0.0], [0.5, 0.5]]),
+        "preps": np.array([[PLUS, [0, 0]], [[1, 0], [0, 1]]], dtype=complex),
+    }
+
+
+def edit(name, index, value):
+    def apply(arrays):
+        arrays[name][index] = value
+
+    return apply
+
+
+# case -> (edit of x_basis_arrays(), the exact message MPChannel raises)
+ARRAY_REJECTED = {
+    "shape_mismatch": (
+        lambda arrays: arrays.update(effects=np.eye(4, dtype=complex)[:2]),
+        "channel arrays do not match each other or the qubit count",
+    ),
+    "non_finite": (edit("effects", (0, 0), np.nan), "channel arrays must be finite"),
+    "sign_not_unit": (edit("signs", 0, 2), "outcome signs must be +1 or -1"),
+    "negative_prep_weight": (
+        edit("prep_probs", 1, [1.5, -0.5]), "prep weights must be non-negative"
+    ),
+    "prep_weights_not_summing_to_one": (
+        edit("prep_probs", 1, [0.5, 0.6]), "prep weights must sum to 1"
+    ),
+    "non_unit_prep_vector": (edit("preps", (1, 0), [2, 0]), "prep vectors must have unit norm"),
+    "effects_not_summing_to_identity": (
+        edit("effects", 1, PLUS), "POVM effects do not sum to the identity"
+    ),
+}
+
+
 # the builders and widths the benchmark's decompose workload runs
 DECOMPOSE_CASES = [
     ("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1), ("teleport", 2)
@@ -334,9 +375,9 @@ def exported_decompositions(draw):
     if draw(st.booleans()):
         u = haar_unitary(2**d.n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
         chosen = [
-            (c, MPChannel(d.n, tuple(
+            (c, MPChannel.from_terms(d.n, tuple(
                 ChannelTerm(t.a, u @ t.effect @ u.conj().T, u @ t.prep @ u.conj().T)
-                for t in ch.terms
+                for t in ch.dense_terms()
             )))
             for c, ch in chosen
         ]
@@ -348,8 +389,35 @@ class TestValidationAndJson:
     def test_rejected(self, case):
         terms, message = REJECTED[case]
         with pytest.raises(InvalidInputError) as excinfo:
-            MPChannel(1, terms)
+            MPChannel.from_terms(1, terms)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case", sorted(ARRAY_REJECTED))
+    def test_array_rejected(self, case):
+        change, message = ARRAY_REJECTED[case]
+        arrays = x_basis_arrays()
+        change(arrays)
+        with pytest.raises(InvalidInputError) as excinfo:
+            MPChannel(1, **arrays)
+        assert str(excinfo.value) == message
+
+    def test_dense_terms_of_arrays(self):
+        terms = MPChannel(1, **x_basis_arrays()).dense_terms()
+        assert [t.a for t in terms] == [1, 1] and all(type(t.a) is int for t in terms)
+        np.testing.assert_array_equal(terms[0].effect, projector(PLUS))
+        np.testing.assert_array_equal(terms[1].effect, projector(MINUS))
+        np.testing.assert_array_equal(terms[0].prep, projector(PLUS))
+        np.testing.assert_array_equal(terms[1].prep, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("method, n", [("peng", 1), ("teleport", 1), ("mub", 2)])
+    def test_pure_preps_are_outer_products_bit_for_bit(self, method, n):
+        """Dense terms of a builder's pure preps equal np.outer to the last
+        bit, signed zeros included, so exported files keep their bytes."""
+        for _, ch in build_decomposition(method, n).channels:
+            for t, e, w, chis in zip(ch.dense_terms(), ch.effects, ch.prep_probs, ch.preps):
+                assert t.effect.tobytes() == np.outer(e, e.conj()).tobytes()
+                if w[0] == 1.0:
+                    assert t.prep.tobytes() == np.outer(chis[0], chis[0].conj()).tobytes()
 
     def test_bad_sign_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -367,15 +435,27 @@ class TestValidationAndJson:
     @settings(max_examples=30, deadline=None)
     @given(exported_decompositions())
     def test_json_round_trip_is_exact(self, d):
+        """Every matrix written parses back to the same doubles."""
+        for _, ch in d.channels:
+            for t in ch.dense_terms():
+                for mat in (t.effect, t.prep):
+                    text = json.dumps(channels._matrix_to_json(mat))
+                    assert channels._matrix_from_json(json.loads(text)).tobytes() == mat.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(exported_decompositions())
+    def test_json_round_trip_keeps_terms(self, d):
+        """A loaded channel, factored again, gives back the terms written."""
         back = decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d))))
         assert back.n == d.n and back.m == d.m
         assert abs(float(back.gamma) - float(d.gamma)) < 1e-12
         for (_, ch), (_, ch_back) in zip(d.channels, back.channels):
-            assert len(ch_back.terms) == len(ch.terms)
-            for t, t_back in zip(ch.terms, ch_back.terms):
+            terms, terms_back = ch.dense_terms(), ch_back.dense_terms()
+            assert len(terms_back) == len(terms)
+            for t, t_back in zip(terms, terms_back):
                 assert t_back.a == t.a
-                assert t_back.effect.tobytes() == t.effect.astype(complex).tobytes()
-                assert t_back.prep.tobytes() == t.prep.astype(complex).tobytes()
+                assert np.max(np.abs(t_back.effect - t.effect)) <= 1e-12
+                assert np.max(np.abs(t_back.prep - t.prep)) <= 1e-12
 
     @pytest.mark.parametrize("n", [-1, 0, 7])
     def test_width_checked_before_matrices(self, monkeypatch, n):
@@ -426,37 +506,32 @@ class TestPsdVerdict:
     @settings(max_examples=200, deadline=None)
     @given(planted_stacks())
     def test_matches_eigvalsh_per_term(self, case):
-        stack, as_prep, big = case
+        """The dense constructor rejects a stack exactly when one matrix's own
+        eigh spectrum dips below PSD_FLOOR."""
+        stack, as_prep, _ = case
         dim = stack.shape[-1]
-        eigvalsh = np.linalg.eigvalsh
-        expected = any(eigvalsh(m).min() < channels.PSD_FLOOR for m in stack)
+        expected = any(np.linalg.eigh(m)[0].min() < channels.PSD_FLOOR for m in stack)
         if as_prep:
             terms = [ChannelTerm(1, np.eye(dim) / len(stack), m) for m in stack]
             failure = "prepared state is not positive semidefinite"
         else:
             terms = [ChannelTerm(1, m, projector(basis_state(0, dim))) for m in stack]
             failure = "POVM effect is not positive semidefinite"
-        calls = []
-
-        def counted(a, *args, **kwargs):
-            calls.append(a)
-            return eigvalsh(a, *args, **kwargs)
-
         message = None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "eigvalsh", counted)
-            try:
-                MPChannel(dim.bit_length() - 1, tuple(terms))
-            except InvalidInputError as exc:
-                message = str(exc)
+        try:
+            MPChannel.from_terms(dim.bit_length() - 1, tuple(terms))
+        except InvalidInputError as exc:
+            message = str(exc)
         assert (message == failure) == expected
-        if big:  # entries above 1 are never cleared by the certificate
-            assert calls
 
     @pytest.mark.parametrize("method, n", DECOMPOSE_CASES)
     def test_builder_channels_are_certified(self, monkeypatch, method, n):
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("eigvalsh ran on a builder-made channel")
+        """Builders pass effect and prep vectors, so the array checks certify
+        their channels without any eigensolver or Cholesky factorisation."""
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a builder ran a matrix factorisation")
+
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         assert build_decomposition(method, n).n == n

@@ -145,6 +145,29 @@ class TestExactAndEstimate:
             outputs.append(json.loads(out.read_text()))
         assert outputs[0]["estimate"] == outputs[1]["estimate"]
 
+    @pytest.mark.parametrize("method", ["optimal1q", "peng", "mub"])
+    def test_file_estimate_prints_the_same_bytes(self, capsys, tmp_path, method):
+        """A loaded file is factored into the same outcomes as the builder's
+        channels, so the estimate's stdout is the same to the byte."""
+        from wirecut.channels import build_decomposition, save_decomposition
+
+        dec_file = tmp_path / f"{method}.json"
+        save_decomposition(build_decomposition(method, 1), dec_file)
+        outputs = []
+        for source in (method, f"file:{dec_file}"):
+            code, out, _ = run(
+                capsys,
+                "estimate",
+                "--circuit", str(DEMOS / "demo_circuit.json"),
+                "--cuts", str(DEMOS / "demo_cut.json"),
+                "--method", source,
+                "--shots", "20001",
+                "--seed", "0",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_estimate_width_mismatch_from_file(self, capsys, tmp_path):
         from wirecut.channels import build_mub_default, save_decomposition
 

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from wirecut import dense, estimator
 from wirecut.channels import (
+    ChannelTerm,
+    Decomposition,
+    MPChannel,
     build_decomposition,
     build_mub_default,
     build_optimal_1q,
     build_peng_1q,
+    tensor_decompositions,
 )
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.estimator import (
@@ -75,27 +79,25 @@ class TestSamplePrep:
         # the computational channel re-prepares, after outcome j = 01, the
         # uniform mixture of the three other basis states
         loc = estimator._RealizedLocation(CutLocation(0, 1, build_mub_default(2)), 2)
-        table = loc.channels[-1]
-        support = [int(np.flatnonzero(vec)[0]) for vec in table.preps[1]]
+        ch = loc.channels[-1]
+        support = [int(np.flatnonzero(vec)[0]) for vec in ch.preps[1]]
         assert support == [0, 2, 3]
-        for vec in table.preps[1]:
+        for vec in ch.preps[1]:
             assert np.count_nonzero(vec) == 1 and np.max(np.abs(vec)) == 1.0
-        assert table.prep_counts[1] == 3
-        np.testing.assert_allclose(table.prep_probs[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
-        np.testing.assert_allclose(table.prep_cums[1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
+        np.testing.assert_allclose(ch.prep_probs[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(loc.prep_cums[-1][1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "method, n", [("peng", 1), ("randomized", 1), ("teleport", 2), ("mub", 3)]
     )
     def test_prep_tables_end_at_exactly_one(self, method, n):
-        """Each outcome's prep row ends at 1.0, so a uniform in [0, 1) never
-        reaches the inf padding after it."""
+        """Each outcome's prep row is exactly 1.0 from its last positive
+        weight on, so a uniform in [0, 1) never draws a state past it."""
         loc = estimator._RealizedLocation(CutLocation(0, 1, build_decomposition(method, n)), n)
-        for table in loc.channels:
-            cols = np.arange(table.prep_cums.shape[1])
-            ends = table.prep_cums[np.arange(len(table.effects)), table.prep_counts - 1]
-            assert np.all(ends == 1.0)
-            assert np.all(np.isinf(table.prep_cums) == (cols >= table.prep_counts[:, None]))
+        for ch, cums in zip(loc.channels, loc.prep_cums):
+            cols = np.arange(cums.shape[1])
+            last = np.array([np.flatnonzero(w)[-1] for w in ch.prep_probs])
+            assert np.all((cums == 1.0) == (cols >= last[:, None]))
 
 
 class TestMonteCarlo:
@@ -230,9 +232,9 @@ class TestCutSeparation:
         d = build_optimal_1q()
         loc_a = _RealizedLocation(CutLocation(1, 2, d), 3)
         loc_b = _RealizedLocation(CutLocation(1, 2, d), 3)
-        for table_a, table_b in zip(loc_a.channels, loc_b.channels):
-            np.testing.assert_array_equal(table_a.prep_probs, table_b.prep_probs)
-            np.testing.assert_array_equal(table_a.preps, table_b.preps)
+        for ch_a, ch_b in zip(loc_a.channels, loc_b.channels):
+            np.testing.assert_array_equal(ch_a.prep_probs, ch_b.prep_probs)
+            np.testing.assert_array_equal(ch_a.preps, ch_b.preps)
         # and per-shot trajectories with identical classical records agree
         circ_a = demo_circuit()
         circ_b = demo_circuit(dense.haar_unitary(4, rng), dense.CX_2Q)
@@ -242,7 +244,30 @@ class TestCutSeparation:
         assert rep_a.gamma_total == rep_b.gamma_total
 
 
+def split_depolarizing_product():
+    """randomized x randomized, each with its depolarizing channel Tr[rho] I/2
+    loaded from dense terms as: outcome 0 prepares I/2, outcome 1 is split in
+    halves that prepare |0> and |1>.  Its rows hold 2, 1 and 1 prep states,
+    so product rows such as [1/2, 0, 1/2, 0] have zero weights mid-row."""
+    k0, k1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    terms = [ChannelTerm(1, k0, np.eye(2) / 2), ChannelTerm(1, k1 / 2, k0), ChannelTerm(1, k1 / 2, k1)]
+    depol = MPChannel.from_terms(1, terms)
+    rand = build_decomposition("randomized", 1)
+    d = Decomposition(1, rand.channels[:-1] + ((rand.channels[-1][0], depol),), "split")
+    return tensor_decompositions(d, d)
+
+
 class TestUnbiasedness:
+    def test_padded_prep_ensembles(self):
+        d = split_depolarizing_product()
+        loc = estimator._RealizedLocation(CutLocation(1, 2, d), 4)
+        np.testing.assert_array_equal(loc.prep_cums[-1][1], [0.5, 0.5, 1.0, 1.0])
+        rng = np.random.default_rng(5)
+        layers = tuple(CircuitLayer(1, dense.haar_unitary(16, rng)) for _ in range(2))
+        circ, f = LayeredCircuit(4, layers), PostProcess.parity(4)
+        mean = enumerate_estimator_mean(circ, CutSpec((CutLocation(1, 2, d),)), f)
+        assert abs(mean - exact_expectation(circ, f)) < 1e-10
+
     @pytest.mark.parametrize("build", [build_peng_1q, build_optimal_1q])
     def test_demo_zero_noise(self, build):
         circ = demo_circuit()
