@@ -16,10 +16,10 @@ target channel; here the target is always the n-qubit identity.  Builders:
 
 Every builder's channel has rank-1 effects |e><e| and re-prepares pure
 states or mixtures of them, so an MPChannel stores the vectors e and the
-prep ensembles; dense matrices are built only for transfer matrices and
-JSON export.  Weights are exact `fractions.Fraction`s so gamma and m
-assertions are exact; verification happens in double precision through
-the Pauli transfer matrix.
+prep ensembles; dense matrices appear only at the file boundary and in
+the transfer-matrix checks.  Weights are exact `fractions.Fraction`s so
+gamma and m assertions are exact; verification happens in double
+precision through the Pauli transfer matrix.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ PSD_FLOOR = -1e-10
 Weight = Fraction | float
 
 
-def _not_hermitian(stack: np.ndarray) -> np.ndarray:
-    return np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10
+def _not_hermitian(mat: np.ndarray) -> bool:
+    return np.abs(mat - mat.conj().T).max() > 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,77 +118,60 @@ class MPChannel:
     def from_terms(cls, n: int, terms: Sequence[ChannelTerm]) -> "MPChannel":
         """Channel from dense terms (a, E, rho), as files and hand-made cases give them.
 
-        Raises InvalidInputError naming the first failing check of the first
-        failing term.  A term is checked for, in order: 2^n x 2^n effect and
-        prep, finite entries, a hermitian effect, a hermitian prep, a positive
-        semidefinite effect, a positive semidefinite prep (smallest
-        eigenvalue at least PSD_FLOOR), and a prep of unit trace.
+        Checks the terms one by one and raises InvalidInputError naming the
+        first failing check of the first failing term.  A term is checked for,
+        in order: 2^n x 2^n effect and prep, finite entries, a hermitian
+        effect, a hermitian prep, a positive semidefinite effect, a positive
+        semidefinite prep (smallest eigh eigenvalue at least PSD_FLOOR), and a
+        prep of unit trace.
 
-        One batched eigh over the effects and preps decides positivity and
-        factors the terms.  An effect gives one outcome sqrt(lam) v per
-        eigenpair with lam > 1e-12, by term and then by ascending lam, with
-        its term's sign and prep.  A diagonal prep becomes an ensemble of
-        basis states, any other prep one of its eigenvectors, weighted by the
+        The same eigh factors the term.  Its effect gives one outcome
+        sqrt(lam) v per eigenpair with lam > 1e-12, in ascending lam, with the
+        term's sign and prep.  A diagonal prep becomes an ensemble of basis
+        states, any other prep one of its eigenvectors, weighted by the
         normalized diagonal entries or eigenvalues above 1e-12.  The factored
         channel's own construction then checks that the effects sum to the
         identity, which an empty term list fails.
         """
         dim = 2**n
-        shaped = [t.effect.shape == t.prep.shape == (dim, dim) for t in terms]
-        count = shaped.index(False) if False in shaped else len(shaped)
-        error = None if count == len(shaped) else "term matrices do not match qubit count"
-        effects = np.zeros((count, dim, dim), dtype=complex)
-        preps = np.zeros_like(effects)
-        for t, term in enumerate(terms[:count]):
-            effects[t], preps[t] = term.effect, term.prep
+        effects, ensembles, rows = [np.zeros((0, dim), dtype=complex)], [], []
+        for t, term in enumerate(terms):
+            if not term.effect.shape == term.prep.shape == (dim, dim):
+                raise InvalidInputError("term matrices do not match qubit count")
+            effect = np.asarray(term.effect, dtype=complex)
+            prep = np.asarray(term.prep, dtype=complex)
+            if not (np.isfinite(effect).all() and np.isfinite(prep).all()):
+                raise InvalidInputError("term matrices must be finite")
+            if _not_hermitian(effect):
+                raise InvalidInputError("POVM effect is not hermitian")
+            if _not_hermitian(prep):
+                raise InvalidInputError("prepared state is not hermitian")
+            lam, vecs = np.linalg.eigh(effect)
+            weights, states = np.linalg.eigh(prep)
+            if lam[0] < PSD_FLOOR:
+                raise InvalidInputError("POVM effect is not positive semidefinite")
+            if weights[0] < PSD_FLOOR:
+                raise InvalidInputError("prepared state is not positive semidefinite")
+            if abs(np.trace(prep) - 1.0) > 1e-10:
+                raise InvalidInputError("prepared state must have unit trace")
+            kept = lam > 1e-12
+            effects.append(np.sqrt(lam[kept])[:, None] * vecs[:, kept].T)
+            rows += [t] * int(kept.sum())
+            if np.abs(prep - np.diag(prep.diagonal())).max() < 1e-12:
+                weights, states = prep.diagonal().real, np.eye(dim, dtype=complex)
+            kept = weights > 1e-12
+            ensembles.append((weights[kept] / weights[kept].sum(), states[:, kept].T))
+        width = max((len(w) for w, _ in ensembles), default=1)
+        probs = np.zeros((len(ensembles), width))
+        preps = np.zeros((*probs.shape, dim), dtype=complex)
+        for t, (w, chis) in enumerate(ensembles):
+            probs[t, : len(w)], preps[t, : len(w)] = w, chis
+        signs = np.array([term.a for term in terms], dtype=int)
+        return cls(n, signs[rows], np.concatenate(effects), probs[rows], preps[rows])
 
-        def check(message, failing):
-            # Each check sees only the terms before the first failure found
-            # so far, so the error is the one a term-by-term loop would raise.
-            nonlocal count, error
-            bad = np.flatnonzero(failing(effects[:count], preps[:count]))
-            if bad.size:
-                count, error = bad[0], message
-
-        finite = lambda e, p: np.isfinite(e).all(axis=(1, 2)) & np.isfinite(p).all(axis=(1, 2))
-        check("term matrices must be finite", lambda e, p: ~finite(e, p))
-        check("POVM effect is not hermitian", lambda e, p: _not_hermitian(e))
-        check("prepared state is not hermitian", lambda e, p: _not_hermitian(p))
-        # the effects' spectra are rows [0, half), the preps' rows [half, 2 half)
-        half = count
-        vals, vecs = np.linalg.eigh(np.concatenate([effects[:half], preps[:half]]))
-        low = vals.min(axis=1)
-        check("POVM effect is not positive semidefinite", lambda e, p: low[: len(e)] < PSD_FLOOR)
-        check(
-            "prepared state is not positive semidefinite",
-            lambda e, p: low[half : half + len(p)] < PSD_FLOOR,
-        )
-        check(
-            "prepared state must have unit trace",
-            lambda e, p: np.abs(np.trace(p, axis1=1, axis2=2) - 1.0) > 1e-10,
-        )
-        if error:
-            raise InvalidInputError(error)
-
-        rows, cols = np.nonzero(vals[:half] > 1e-12)
-        outcome_effects = np.sqrt(vals[rows, cols])[:, None] * vecs[rows, :, cols]
-        weights = np.diagonal(preps, axis1=1, axis2=2).real.copy()
-        states = np.broadcast_to(np.eye(dim, dtype=complex), preps.shape).copy()
-        mixed = np.max(np.abs(preps * (1 - np.eye(dim))), axis=(1, 2)) >= 1e-12
-        weights[mixed] = vals[half:][mixed]
-        states[mixed] = vecs[half:][mixed].transpose(0, 2, 1)
-        keep = weights > 1e-12
-        probs = np.zeros((count, keep.sum(axis=1).max(initial=1)))
-        chis = np.zeros((*probs.shape, dim), dtype=complex)
-        for t in range(count):
-            q = weights[t, keep[t]]
-            probs[t, : len(q)] = q / q.sum()
-            chis[t, : len(q)] = states[t, keep[t]]
-        signs = np.array([t.a for t in terms], dtype=int)
-        return cls(n, signs[rows], outcome_effects, probs[rows], chis[rows])
-
-    def dense_terms(self) -> tuple[ChannelTerm, ...]:
-        """Each outcome as a dense term (a, |e><e|, sum_p w_p |chi_p><chi_p|).
+    def dense_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacks (effects, preps), each (O, 2^n, 2^n): row o is outcome
+        o's effect |e><e| and prep sum_p w_p |chi_p><chi_p|, its sign signs[o].
 
         The products are np.outer's.  A weight scales real and imaginary parts
         apart and the sum starts from the first state, so a pure prep comes
@@ -201,7 +184,7 @@ class MPChannel:
             state.real *= w[:, None, None]
             state.imag *= w[:, None, None]
             preps = state if preps is None else preps + state
-        return tuple(ChannelTerm(int(a), e, p) for a, e, p in zip(self.signs, effects, preps))
+        return effects, preps
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +237,9 @@ def ptm(channel: MPChannel) -> TransferMatrix:
         raise ResourceLimitError(f"transfer matrices capped at {MAX_PTM_QUBITS} qubits")
     size = 4**n
     out = np.zeros((size, size), dtype=complex)
-    for t in channel.dense_terms():
-        out += t.a * np.outer(pauli_vector(t.prep, n), pauli_vector(t.effect, n))
+    effects, preps = channel.dense_terms()
+    for a, effect, prep in zip(channel.signs, effects, preps):
+        out += a * np.outer(pauli_vector(prep, n), pauli_vector(effect, n))
     return TransferMatrix(n, np.ascontiguousarray(out.real))
 
 
@@ -269,11 +253,11 @@ def verify_decomposition(d: Decomposition) -> float:
     The weighted sum of per-term outer products is one real matrix product:
     the Pauli vectors of every prep form a 4^n x T matrix, those of every
     effect, scaled by c_i * a, a T x 4^n matrix, where T is the total term
-    count.  A channel whose vectors have imaginary parts also appends rows
-    (Im prep, -Im effect) to both stacks, so the real part stays exact; every
-    term is hermitian, so those parts are rounding.  Memory is two 4^n x T
-    float64 stacks (about 8.6 MB each for mub at n = 5, T = 1056) plus the
-    4^n x 4^n product.
+    count.  Every dense term is hermitian by construction, so the imaginary
+    parts of its Pauli vectors are rounding, and dropping them changes the
+    real product by O(eps^2).
+    Memory is two 4^n x T float64 stacks (about 8.6 MB each for mub at n = 5,
+    T = 1056) plus the 4^n x 4^n product.
     """
     if d.n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"verification capped at {MAX_PTM_QUBITS} qubits")
@@ -282,24 +266,13 @@ def verify_decomposition(d: Decomposition) -> float:
     rows = sum(len(ch.signs) for _, ch in d.channels)
     preps = np.empty((rows, 4**d.n))
     effects = np.empty((rows, 4**d.n))
-    imag_preps, imag_effects = [], []
     start = 0
     for c, ch in d.channels:
-        terms = ch.dense_terms()
-        stop = start + len(terms)
-        signs = np.array([t.a for t in terms], dtype=float)[:, None]
-        p = pauli_vector(np.stack([t.prep for t in terms]), d.n)
-        e = pauli_vector(np.stack([t.effect for t in terms]), d.n) * signs
-        weight = float(c)
-        preps[start:stop] = p.real
-        effects[start:stop] = weight * e.real
-        if p.imag.any() or e.imag.any():
-            imag_preps.append(p.imag)
-            imag_effects.append(-weight * e.imag)
+        stop = start + len(ch.signs)
+        dense_effects, dense_preps = ch.dense_terms()
+        preps[start:stop] = pauli_vector(dense_preps, d.n).real
+        effects[start:stop] = float(c) * ch.signs[:, None] * pauli_vector(dense_effects, d.n).real
         start = stop
-    if imag_preps:
-        preps = np.concatenate([preps, *imag_preps])
-        effects = np.concatenate([effects, *imag_effects])
     total = preps.T @ effects
     total[np.diag_indices_from(total)] -= 1.0
     return float(np.max(np.abs(total)))
@@ -642,12 +615,8 @@ def decomposition_to_json(d: Decomposition) -> dict:
             {
                 "weight": float(c),
                 "terms": [
-                    {
-                        "a": t.a,
-                        "effect": _matrix_to_json(t.effect),
-                        "prep": _matrix_to_json(t.prep),
-                    }
-                    for t in ch.dense_terms()
+                    {"a": a, "effect": _matrix_to_json(e), "prep": _matrix_to_json(p)}
+                    for a, e, p in zip(ch.signs.tolist(), *ch.dense_terms())
                 ],
             }
             for c, ch in d.channels

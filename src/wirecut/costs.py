@@ -58,21 +58,15 @@ class MethodRow:
             raise InvalidInputError("invalid cost row")
 
 
-_GAMMA_SQ = {
-    "peng": lambda n: 16**n,
-    "randomized": lambda n: (2 ** (n + 1) + 1) ** 2,
-    "mub": lambda n: (2 ** (n + 1) - 1) ** 2,
-    "teleport": lambda n: (2 ** (n + 1) - 1) ** 2,
-    "optimal1q": lambda n: (2 ** (n + 1) - 1) ** 2,  # the single-wire alias of mub
+# method -> n -> (gamma, m) of an n-wire cut
+_CLOSED_FORMS = {
+    "peng": lambda n: (4**n, 8**n),
+    # m: a 2-design needs at least d^4 - 2 d^2 + 2 unitaries, plus one channel
+    "randomized": lambda n: (2 ** (n + 1) + 1, 2 ** (4 * n) - 2 * 2 ** (2 * n) + 3),
+    "mub": lambda n: (2 ** (n + 1) - 1, 2**n + 1),
+    "teleport": lambda n: (2 ** (n + 1) - 1, 2 ** (2**n) + 4**n - 2**n - 1),
 }
-
-_CHANNELS = {
-    "peng": lambda n: 8**n,
-    # lower bound: a 2-design needs at least d^4 - 2 d^2 + 2 unitaries
-    "randomized": lambda n: 2 ** (4 * n) - 2 * 2 ** (2 * n) + 3,
-    "mub": lambda n: 2**n + 1,
-    "teleport": lambda n: 2 ** (2**n) + 4**n - 2**n - 1,
-}
+_CLOSED_FORMS["optimal1q"] = _CLOSED_FORMS["mub"]  # the single-wire alias of mub
 
 METHOD_ORDER = ("peng", "randomized", "mub", "teleport")
 
@@ -84,19 +78,18 @@ def overhead_table(n_max: int) -> list[MethodRow]:
     rows = []
     for n in range(1, n_max + 1):
         for method in METHOD_ORDER:
-            rows.append(
-                MethodRow(method, n, _GAMMA_SQ[method](n), _CHANNELS[method](n))
-            )
+            gamma, m = _CLOSED_FORMS[method](n)
+            rows.append(MethodRow(method, n, gamma**2, m))
     return rows
 
 
 def multi_cut_overhead(method: str, k_cuts: int, n_per_cut: int = 1) -> int:
     """Total sampling overhead of k independent cuts: the per-cut gamma^2 powered."""
-    if method not in _GAMMA_SQ:
+    if method not in _CLOSED_FORMS:
         raise InvalidInputError(f"unknown method {method!r}")
     if k_cuts < 0 or n_per_cut < 1:
         raise InvalidInputError("bad cut multiplicity")
-    return _GAMMA_SQ[method](n_per_cut) ** k_cuts
+    return _CLOSED_FORMS[method](n_per_cut)[0] ** (2 * k_cuts)
 
 
 @dataclass(frozen=True)

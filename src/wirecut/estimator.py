@@ -342,11 +342,12 @@ def _sample_chunk(
     nodes = np.zeros(k, dtype=np.int64)
     paths: list[tuple] = [()]
     signs = np.ones(k)
+    # Every cumulative table ends at exactly 1.0 and the uniforms are < 1, so
+    # searchsorted(side="right") never returns the table length.
     for l_idx, loc in enumerate(engine.locations):
         u_out, u_prep = u[:, 3 * l_idx + 1], u[:, 3 * l_idx + 2]
         m = len(loc.signs)
         chan = np.searchsorted(loc.channel_cum, u[:, 3 * l_idx], side="right")
-        chan = np.minimum(chan, m - 1)
         tallies[l_idx] += np.bincount(chan, minlength=m)
         factors = np.empty(k)
         children = np.empty(k, dtype=np.int64)
@@ -354,7 +355,7 @@ def _sample_chunk(
         for key, rows in _groups(nodes * m + chan):
             path, c = paths[key // m], key % m
             cum, _ = engine.outcomes(path, c)
-            out = np.minimum(np.searchsorted(cum, u_out[rows], side="right"), len(cum) - 1)
+            out = np.searchsorted(cum, u_out[rows], side="right")
             # each shot counts its outcome's table entries <= u, which is what
             # searchsorted(side="right") returns; the 1.0 tail never counts
             cums = loc.prep_cums[c]
@@ -373,7 +374,7 @@ def _sample_chunk(
     y = np.empty(k, dtype=np.int64)
     for node, rows in _groups(nodes):
         cum, _ = engine.final_dist(paths[node])
-        y[rows] = np.minimum(np.searchsorted(cum, u[rows, -1], side="right"), len(cum) - 1)
+        y[rows] = np.searchsorted(cum, u[rows, -1], side="right")
     return signs, y
 
 

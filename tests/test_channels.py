@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -96,14 +96,22 @@ def _reference_residual(d):
     return float(np.max(np.abs(total - np.eye(4**d.n))))
 
 
-class TestVerifyDecomposition:
-    @pytest.mark.parametrize(
-        "method, n",
-        [("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1),
-         ("teleport", 2), ("mub", 1), ("mub", 2), ("mub", 3), ("mub", 4)],
+REFERENCE_CASES = [
+    pytest.param(partial(build_decomposition, method, n), id=f"{method}-{n}")
+    for method, n in [("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1),
+                      ("teleport", 2), ("mub", 1), ("mub", 2), ("mub", 3), ("mub", 4)]
+] + [
+    pytest.param(
+        lambda: tensor_decompositions(build_optimal_1q(), build_optimal_1q()),
+        id="optimal1q-x-optimal1q",
     )
-    def test_matches_reference_sum(self, method, n):
-        d = build_decomposition(method, n)
+]
+
+
+class TestVerifyDecomposition:
+    @pytest.mark.parametrize("build", REFERENCE_CASES)
+    def test_matches_reference_sum(self, build):
+        d = build()
         assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
 
     def test_perturbed_weight_matches_reference(self):
@@ -123,8 +131,8 @@ class TestVerifyDecomposition:
         ch = MPChannel.from_terms(
             1, (ChannelTerm(1, k0 + eps_ix, k0), ChannelTerm(1, k1 - eps_ix, k1))
         )
-        for t in ch.dense_terms():
-            assert np.max(np.abs(t.effect - t.effect.conj().T)) < 1e-15
+        effects, _ = ch.dense_terms()
+        assert np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) < 1e-15
         assert np.max(np.abs(ptm(ch).entries - ptm(MPChannel.from_terms(
             1, (ChannelTerm(1, k0, k0), ChannelTerm(1, k1, k1)))).entries)) < 1e-10
 
@@ -156,11 +164,9 @@ class TestOptimal1q:
     def test_third_channel_is_bit_flip(self):
         c, ch = build_optimal_1q().channels[2]
         assert c == Fraction(-1)
-        terms = ch.dense_terms()
-        np.testing.assert_allclose(terms[0].effect, projector(basis_state(0, 2)))
-        np.testing.assert_allclose(terms[0].prep, projector(basis_state(1, 2)))
-        np.testing.assert_allclose(terms[1].effect, projector(basis_state(1, 2)))
-        np.testing.assert_allclose(terms[1].prep, projector(basis_state(0, 2)))
+        effects, preps = ch.dense_terms()
+        np.testing.assert_allclose(effects, [projector(basis_state(j, 2)) for j in (0, 1)])
+        np.testing.assert_allclose(preps, [projector(basis_state(j, 2)) for j in (1, 0)])
 
     def test_residual(self):
         assert verify_decomposition(build_optimal_1q()) < 1e-10
@@ -376,8 +382,8 @@ def exported_decompositions(draw):
         u = haar_unitary(2**d.n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
         chosen = [
             (c, MPChannel.from_terms(d.n, tuple(
-                ChannelTerm(t.a, u @ t.effect @ u.conj().T, u @ t.prep @ u.conj().T)
-                for t in ch.dense_terms()
+                ChannelTerm(a, u @ effect @ u.conj().T, u @ prep @ u.conj().T)
+                for a, effect, prep in zip(ch.signs.tolist(), *ch.dense_terms())
             )))
             for c, ch in chosen
         ]
@@ -402,22 +408,29 @@ class TestValidationAndJson:
         assert str(excinfo.value) == message
 
     def test_dense_terms_of_arrays(self):
-        terms = MPChannel(1, **x_basis_arrays()).dense_terms()
-        assert [t.a for t in terms] == [1, 1] and all(type(t.a) is int for t in terms)
-        np.testing.assert_array_equal(terms[0].effect, projector(PLUS))
-        np.testing.assert_array_equal(terms[1].effect, projector(MINUS))
-        np.testing.assert_array_equal(terms[0].prep, projector(PLUS))
-        np.testing.assert_array_equal(terms[1].prep, np.eye(2) / 2)
+        effects, preps = MPChannel(1, **x_basis_arrays()).dense_terms()
+        assert effects.shape == preps.shape == (2, 2, 2)
+        np.testing.assert_array_equal(effects[0], projector(PLUS))
+        np.testing.assert_array_equal(effects[1], projector(MINUS))
+        np.testing.assert_array_equal(preps[0], projector(PLUS))
+        np.testing.assert_array_equal(preps[1], np.eye(2) / 2)
+
+    def test_json_terms_carry_int_signs(self):
+        d = Decomposition(1, ((1.0, MPChannel(1, **x_basis_arrays())),), "x")
+        terms = decomposition_to_json(d)["channels"][0]["terms"]
+        assert [t["a"] for t in terms] == [1, 1] and all(type(t["a"]) is int for t in terms)
 
     @pytest.mark.parametrize("method, n", [("peng", 1), ("teleport", 1), ("mub", 2)])
     def test_pure_preps_are_outer_products_bit_for_bit(self, method, n):
         """Dense terms of a builder's pure preps equal np.outer to the last
         bit, signed zeros included, so exported files keep their bytes."""
         for _, ch in build_decomposition(method, n).channels:
-            for t, e, w, chis in zip(ch.dense_terms(), ch.effects, ch.prep_probs, ch.preps):
-                assert t.effect.tobytes() == np.outer(e, e.conj()).tobytes()
+            for effect, prep, e, w, chis in zip(
+                *ch.dense_terms(), ch.effects, ch.prep_probs, ch.preps
+            ):
+                assert effect.tobytes() == np.outer(e, e.conj()).tobytes()
                 if w[0] == 1.0:
-                    assert t.prep.tobytes() == np.outer(chis[0], chis[0].conj()).tobytes()
+                    assert prep.tobytes() == np.outer(chis[0], chis[0].conj()).tobytes()
 
     def test_bad_sign_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -437,8 +450,8 @@ class TestValidationAndJson:
     def test_json_round_trip_is_exact(self, d):
         """Every matrix written parses back to the same doubles."""
         for _, ch in d.channels:
-            for t in ch.dense_terms():
-                for mat in (t.effect, t.prep):
+            for stack in ch.dense_terms():
+                for mat in stack:
                     text = json.dumps(channels._matrix_to_json(mat))
                     assert channels._matrix_from_json(json.loads(text)).tobytes() == mat.tobytes()
 
@@ -450,12 +463,17 @@ class TestValidationAndJson:
         assert back.n == d.n and back.m == d.m
         assert abs(float(back.gamma) - float(d.gamma)) < 1e-12
         for (_, ch), (_, ch_back) in zip(d.channels, back.channels):
-            terms, terms_back = ch.dense_terms(), ch_back.dense_terms()
-            assert len(terms_back) == len(terms)
-            for t, t_back in zip(terms, terms_back):
-                assert t_back.a == t.a
-                assert np.max(np.abs(t_back.effect - t.effect)) <= 1e-12
-                assert np.max(np.abs(t_back.prep - t.prep)) <= 1e-12
+            np.testing.assert_array_equal(ch_back.signs, ch.signs)
+            for stack, stack_back in zip(ch.dense_terms(), ch_back.dense_terms()):
+                assert stack_back.shape == stack.shape
+                assert np.max(np.abs(stack_back - stack)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(exported_decompositions())
+    def test_verify_matches_reference_sum(self, d):
+        """Loaded and Haar-rotated channels, whose Pauli vectors carry
+        imaginary rounding, verify as the per-term ptm() sum does."""
+        assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
 
     @pytest.mark.parametrize("n", [-1, 0, 7])
     def test_width_checked_before_matrices(self, monkeypatch, n):

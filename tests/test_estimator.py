@@ -1,5 +1,7 @@
 """Estimator tests: exact simulation oracle, unbiasedness, determinism, variance."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -98,6 +100,25 @@ class TestSamplePrep:
             cols = np.arange(cums.shape[1])
             last = np.array([np.flatnonzero(w)[-1] for w in ch.prep_probs])
             assert np.all((cums == 1.0) == (cols >= last[:, None]))
+
+    @pytest.mark.parametrize(
+        "method, n", [("peng", 1), ("randomized", 1), ("teleport", 2), ("mub", 3)]
+    )
+    def test_sampling_tables_end_at_exactly_one(self, method, n):
+        """The channel, outcome and terminal tables end at exactly 1.0, so
+        searchsorted(side="right") on a uniform in [0, 1) stays in range."""
+        width = n + 1
+        u = dense.haar_unitary(2**width, np.random.default_rng(3))
+        engine = estimator._CutEngine(
+            LayeredCircuit(width, (CircuitLayer(1, u),)),
+            CutSpec((CutLocation(1, 1, build_decomposition(method, n)),)),
+            PostProcess.parity(width),
+        )
+        loc = engine.locations[0]
+        assert loc.channel_cum[-1] == 1.0
+        for c in range(len(loc.signs)):
+            assert engine.outcomes((), c)[0][-1] == 1.0
+            assert engine.final_dist(engine.child((), c, 0, 0))[0][-1] == 1.0
 
 
 class TestMonteCarlo:
@@ -390,7 +411,40 @@ class TestVariance:
         assert per_shot_var <= 9.0 + 0.5  # gamma^2 * max|f|^2 plus slack
 
 
+@st.composite
+def haar_circuits(draw):
+    """Width <= 4 and at most 4 Haar layers on random contiguous qubits."""
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        span = draw(st.integers(1, min(width, 3)))
+        first = draw(st.integers(1, width - span + 1))
+        layers.append(CircuitLayer(first, dense.haar_unitary(2**span, rng)))
+    return LayeredCircuit(width, tuple(layers))
+
+
 class TestJsonForms:
+    @settings(max_examples=50, deadline=None)
+    @given(haar_circuits(), st.sampled_from(["parity", "bit", "table"]), st.data())
+    def test_circuit_round_trip_is_exact(self, circuit, kind, data):
+        """Written and parsed back, a circuit keeps its width, its layer
+        positions, every matrix bit and the postprocess table."""
+        width = circuit.width
+        if kind == "table":
+            table = st.lists(st.floats(-1.0, 1.0), min_size=2**width, max_size=2**width)
+            f = PostProcess(width, data.draw(table))
+        elif kind == "bit":
+            f = PostProcess.bit(data.draw(st.integers(1, width)), width)
+        else:
+            f = PostProcess.parity(width)
+        back, f_back = circuit_from_json(json.loads(json.dumps(circuit_to_json(circuit, f))))
+        assert back.width == width
+        assert [(l.first, l.span) for l in back.layers] == [(l.first, l.span) for l in circuit.layers]
+        for layer, layer_back in zip(circuit.layers, back.layers):
+            assert layer_back.matrix.tobytes() == layer.matrix.tobytes()
+        assert f_back.name == f.name and f_back.table.tobytes() == f.table.tobytes()
+
     def test_circuit_round_trip(self):
         circ = demo_circuit()
         f = PostProcess.parity(3)
@@ -457,14 +511,9 @@ DECOMPOSITIONS = {
 
 @st.composite
 def cut_circuits(draw):
-    """Width <= 4, at most 4 Haar layers, one or two optimal1q / mub n <= 2 cuts."""
-    width = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layers = []
-    for _ in range(draw(st.integers(0, 4))):
-        span = draw(st.integers(1, min(width, 3)))
-        first = draw(st.integers(1, width - span + 1))
-        layers.append(CircuitLayer(first, dense.haar_unitary(2**span, rng)))
+    """A haar_circuits() circuit with one or two optimal1q / mub n <= 2 cuts."""
+    circuit = draw(haar_circuits())
+    width, layers = circuit.width, circuit.layers
     locations = []
     for _ in range(draw(st.integers(1, 2))):
         key = draw(st.sampled_from([k for k in DECOMPOSITIONS if k[1] <= width]))
@@ -474,7 +523,7 @@ def cut_circuits(draw):
     for a, b in zip(locations, locations[1:]):
         assume(a.after_layer != b.after_layer or a.first_wire + a.decomposition.n <= b.first_wire)
     f = PostProcess.from_spec(draw(st.sampled_from(["parity", f"bit:{width}"])), width)
-    return LayeredCircuit(width, tuple(layers)), CutSpec(tuple(locations)), f
+    return circuit, CutSpec(tuple(locations)), f
 
 
 class TestProperties:
