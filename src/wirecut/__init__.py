@@ -55,7 +55,6 @@ from .estimator import (
     enumerate_estimator_mean,
     exact_expectation,
     run_monte_carlo,
-    variance_probe,
 )
 from .families import (
     CommutingFamily,

@@ -120,10 +120,10 @@ class MPChannel:
 
         Checks the terms one by one and raises InvalidInputError naming the
         first failing check of the first failing term.  A term is checked for,
-        in order: 2^n x 2^n effect and prep, finite entries, a hermitian
-        effect, a hermitian prep, a positive semidefinite effect, a positive
-        semidefinite prep (smallest eigh eigenvalue at least PSD_FLOOR), and a
-        prep of unit trace.
+        in order: a numeric effect and prep (arrays or nested lists), of shape
+        2^n x 2^n, finite entries, a hermitian effect, a hermitian prep, a
+        positive semidefinite effect, a positive semidefinite prep (smallest
+        eigh eigenvalue at least PSD_FLOOR), and a prep of unit trace.
 
         The same eigh factors the term.  Its effect gives one outcome
         sqrt(lam) v per eigenpair with lam > 1e-12, in ascending lam, with the
@@ -136,10 +136,13 @@ class MPChannel:
         dim = 2**n
         effects, ensembles, rows = [np.zeros((0, dim), dtype=complex)], [], []
         for t, term in enumerate(terms):
-            if not term.effect.shape == term.prep.shape == (dim, dim):
+            try:
+                effect = np.asarray(term.effect, dtype=complex)
+                prep = np.asarray(term.prep, dtype=complex)
+            except (TypeError, ValueError):
+                raise InvalidInputError("term matrices must be numeric arrays") from None
+            if not effect.shape == prep.shape == (dim, dim):
                 raise InvalidInputError("term matrices do not match qubit count")
-            effect = np.asarray(term.effect, dtype=complex)
-            prep = np.asarray(term.prep, dtype=complex)
             if not (np.isfinite(effect).all() and np.isfinite(prep).all()):
                 raise InvalidInputError("term matrices must be finite")
             if _not_hermitian(effect):

@@ -24,6 +24,15 @@ and preps from that node's cached distributions and maps each distinct
 (outcome, prep) to its child node.  A last grouping by leaf node draws the
 terminal outcomes.  A shot's value depends only on its own
 uniforms, so results are reproducible and independent of the chunk size.
+
+The lattice of distinct intermediate states is built one cut level at a
+time: the level's missing child nodes are stacked as the columns of
+(2^W, K) blocks of at most BLOCK_BYTES, and each downstream layer is one
+contraction per block rather than one per node.  The contraction acts on
+each column exactly as on a lone state, so a node's state is the same bit
+for bit whatever block it was built in; exact_expectation uses the same
+kernel.  The node cap MAX_TRAJECTORY_NODES is checked before a level's
+blocks are allocated.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ from .errors import InvalidInputError, NumericFailureError, ResourceLimitError
 
 MAX_SIM_QUBITS = 12
 MAX_TRAJECTORY_NODES = 1 << 18
+# one block of new lattice states: 1024 states at 6 qubits, 16 at 12
+BLOCK_BYTES = 1 << 20
 # a conditioned state below this norm came from a zero-probability outcome
 MIN_RESIDUAL_NORM = 1e-15
 CHUNK_SHOTS = 1 << 16
@@ -250,10 +261,6 @@ class _CutEngine:
         self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._final: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _guard(self) -> None:
-        if len(self._states) > MAX_TRAJECTORY_NODES:
-            raise ResourceLimitError("trajectory lattice exceeded the node cap")
-
     def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray]:
         """(cumulative probabilities, amplitudes) of channel `chan`'s outcomes
         at node `path`.  Amplitude row o is the node's state with outcome o's
@@ -283,23 +290,48 @@ class _CutEngine:
 
     def child(self, path: tuple, chan: int, outcome: int, prep: int) -> tuple:
         """Path key of the node reached by (channel, outcome, prep) at `path`."""
-        new_path = path + (chan, outcome, prep)
-        if new_path in self._states:
-            return new_path
-        self._guard()
-        depth = len(path) // 3
+        return self.children([(path, chan, outcome, prep)])[0]
+
+    def children(self, requests: Sequence[tuple[tuple, int, int, int]]) -> list[tuple]:
+        """Path keys of the nodes reached by distinct (path, channel, outcome,
+        prep) requests whose paths all lie at one depth.
+
+        The missing nodes are built together: each conditioned state gets its
+        prepared state inserted, and the states, stacked as the columns of
+        (2^W, K) blocks of at most BLOCK_BYTES, pass through the layers down
+        to the next cut as one block per layer.  The node cap is checked
+        before any block exists.
+        """
+        keys = [path + (chan, outcome, prep) for path, chan, outcome, prep in requests]
+        new = [key for key in keys if key not in self._states]
+        if not new:
+            return keys
+        # the cap counts the nodes below the root
+        if len(self._states) - 1 + len(new) > MAX_TRAJECTORY_NODES:
+            raise ResourceLimitError("trajectory lattice exceeded the node cap")
+        depth = len(new[0]) // 3 - 1
         loc = self.locations[depth]
-        amp = self.outcomes(path, chan)[1][outcome]
-        norm = np.linalg.norm(amp)
-        if norm < MIN_RESIDUAL_NORM:
-            raise NumericFailureError("conditioned on a zero-probability outcome")
-        chi = loc.channels[chan].preps[outcome, prep]
-        state = dense.insert_block(amp / norm, chi, loc.first, loc.span, self.circuit.width)
         lo = self.boundaries[depth]
         hi = self.boundaries[depth + 1] if depth + 1 < len(self.boundaries) else len(self.circuit.layers)
-        state = _apply_layers(state, self.circuit, lo, hi)
-        self._states[new_path] = state
-        return new_path
+        width = self.circuit.width
+        dim = 2**width
+        columns = max(1, BLOCK_BYTES // (16 * dim))
+        for start in range(0, len(new), columns):
+            batch = new[start : start + columns]
+            block = np.empty((dim, len(batch)), dtype=complex)
+            for j, key in enumerate(batch):
+                chan, outcome, prep = key[-3:]
+                amp = self.outcomes(key[:-3], chan)[1][outcome]
+                norm = np.linalg.norm(amp)
+                if norm < MIN_RESIDUAL_NORM:
+                    raise NumericFailureError("conditioned on a zero-probability outcome")
+                chi = loc.channels[chan].preps[outcome, prep]
+                block[:, j] = dense.insert_block(amp / norm, chi, loc.first, loc.span, width)
+            # one contiguous row per node, so later contractions see the
+            # memory layout a lone state has
+            states = np.ascontiguousarray(_apply_layers(block, self.circuit, lo, hi).T)
+            self._states.update(zip(batch, states))
+        return keys
 
     def final_dist(self, path: tuple) -> tuple[np.ndarray, np.ndarray]:
         """(cumulative, plain) terminal outcome distribution at a leaf node."""
@@ -351,7 +383,7 @@ def _sample_chunk(
         tallies[l_idx] += np.bincount(chan, minlength=m)
         factors = np.empty(k)
         children = np.empty(k, dtype=np.int64)
-        child_paths: list[tuple] = []
+        requests: list[tuple[tuple, int, int, int]] = []
         for key, rows in _groups(nodes * m + chan):
             path, c = paths[key // m], key % m
             cum, _ = engine.outcomes(path, c)
@@ -366,11 +398,11 @@ def _sample_chunk(
             width = cums.shape[1]
             packed = out * width + prep
             present = np.bincount(packed, minlength=cums.size) > 0
-            children[rows] = len(child_paths) + (np.cumsum(present) - 1)[packed]
+            children[rows] = len(requests) + (np.cumsum(present) - 1)[packed]
             for pair in np.flatnonzero(present).tolist():
-                child_paths.append(engine.child(path, c, *divmod(pair, width)))
+                requests.append((path, c, *divmod(pair, width)))
         signs *= factors
-        nodes, paths = children, child_paths
+        nodes, paths = children, engine.children(requests)
     y = np.empty(k, dtype=np.int64)
     for node, rows in _groups(nodes):
         cum, _ = engine.final_dist(paths[node])
@@ -433,7 +465,7 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
             return float(np.dot(probs, f.table))
         loc = engine.locations[depth]
         chan_probs = np.diff(loc.channel_cum, prepend=0.0)
-        total = 0.0
+        requests, weights = [], []
         for c, ch in enumerate(loc.channels):
             cum, amps = engine.outcomes(path, c)
             out_probs = np.diff(cum, prepend=0.0)
@@ -443,34 +475,20 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
                 if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
                     continue
                 for p in np.flatnonzero(ch.prep_probs[o]).tolist():
-                    child = engine.child(path, c, o, p)
-                    total += (
+                    requests.append((path, c, o, p))
+                    weights.append(
                         chan_probs[c]
                         * loc.signs[c]
                         * ch.signs[o]
                         * out_probs[o]
                         * ch.prep_probs[o, p]
-                        * walk(child, depth + 1)
                     )
+        total = 0.0
+        for child, weight in zip(engine.children(requests), weights):
+            total += weight * walk(child, depth + 1)
         return total
 
     return engine.gamma_total * walk((), 0)
-
-
-def variance_probe(
-    circuit: LayeredCircuit,
-    cuts: CutSpec,
-    f: PostProcess,
-    trials: int,
-    shots: int,
-    seed0: int = 0,
-) -> float:
-    """Sample variance of the estimate across independent-seed trials."""
-    estimates = [
-        run_monte_carlo(circuit, cuts, f, shots, seed=seed0 + t).estimate
-        for t in range(trials)
-    ]
-    return float(np.var(estimates, ddof=1))
 
 
 def demo_circuit(

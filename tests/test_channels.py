@@ -321,6 +321,18 @@ REJECTED = {
     "failing_term_before_a_shape_mismatch": (
         (term([[np.nan, 0], [0, 1]]), term(np.eye(4))), "term matrices must be finite"
     ),
+    # nested lists that are not a numeric matrix: ragged rows, text, a mapping
+    "ragged_effect": (
+        (ChannelTerm(1, [[1, 0], [0]], ZERO),), "term matrices must be numeric arrays"
+    ),
+    "text_prep": (
+        (ChannelTerm(1, np.eye(2), [["1", "0"], ["0", "x"]]),),
+        "term matrices must be numeric arrays",
+    ),
+    "mapping_effect": ((ChannelTerm(1, {}, ZERO),), "term matrices must be numeric arrays"),
+    "nested_list_of_wrong_shape": (
+        (ChannelTerm(1, [1, 0, 0, 1], ZERO),), "term matrices do not match qubit count"
+    ),
 }
 
 
@@ -397,6 +409,19 @@ class TestValidationAndJson:
         with pytest.raises(InvalidInputError) as excinfo:
             MPChannel.from_terms(1, terms)
         assert str(excinfo.value) == message
+
+    def test_nested_lists_give_the_array_channel(self):
+        lists = [
+            ChannelTerm(1, [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]),
+            ChannelTerm(-1, [[0.5, -0.5], [-0.5, 0.5]], [[1, 0], [0, 0]]),
+        ]
+        arrays = [
+            ChannelTerm(t.a, np.asarray(t.effect, dtype=complex), np.asarray(t.prep, dtype=complex))
+            for t in lists
+        ]
+        a, b = MPChannel.from_terms(1, lists), MPChannel.from_terms(1, arrays)
+        for name in ("signs", "effects", "prep_probs", "preps"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("case", sorted(ARRAY_REJECTED))
     def test_array_rejected(self, case):

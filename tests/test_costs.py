@@ -124,6 +124,12 @@ class TestMultiCut:
         with pytest.raises(InvalidInputError):
             multi_cut_overhead("nope", 1)
 
+    @pytest.mark.parametrize("n_per_cut", [2, 3, 12])
+    def test_optimal1q_cuts_one_wire(self, n_per_cut):
+        with pytest.raises(InvalidInputError, match="optimal1q cuts one wire"):
+            multi_cut_overhead("optimal1q", 1, n_per_cut=n_per_cut)
+        assert multi_cut_overhead("mub", 1, n_per_cut=n_per_cut) == (2 ** (n_per_cut + 1) - 1) ** 2
+
 
 class TestGateCountBench:
     def test_n1(self):

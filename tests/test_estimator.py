@@ -33,7 +33,6 @@ from wirecut.estimator import (
     enumerate_estimator_mean,
     exact_expectation,
     run_monte_carlo,
-    variance_probe,
 )
 
 H2 = np.kron(dense.H_1Q, np.eye(2))
@@ -399,9 +398,16 @@ class TestVariance:
         circ = demo_circuit()
         cuts = demo_cut(build_optimal_1q())
         f = PostProcess.parity(3)
-        v1 = variance_probe(circ, cuts, f, trials=300, shots=400, seed0=100)
-        v2 = variance_probe(circ, cuts, f, trials=300, shots=800, seed0=1000)
-        assert 1.5 < v1 / v2 < 2.5
+
+        def variance(shots, seed0, trials=300):
+            """Sample variance of the estimate across independent-seed trials."""
+            estimates = [
+                run_monte_carlo(circ, cuts, f, shots, seed=seed0 + t).estimate
+                for t in range(trials)
+            ]
+            return float(np.var(estimates, ddof=1))
+
+        assert 1.5 < variance(400, 100) / variance(800, 1000) < 2.5
 
     def test_optimal_variance_within_gamma_square(self):
         circ = demo_circuit()
@@ -412,9 +418,9 @@ class TestVariance:
 
 
 @st.composite
-def haar_circuits(draw):
-    """Width <= 4 and at most 4 Haar layers on random contiguous qubits."""
-    width = draw(st.integers(1, 4))
+def haar_circuits(draw, max_width=4):
+    """Width <= max_width and at most 4 Haar layers on random contiguous qubits."""
+    width = draw(st.integers(1, max_width))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers = []
     for _ in range(draw(st.integers(0, 4))):
@@ -510,9 +516,9 @@ DECOMPOSITIONS = {
 
 
 @st.composite
-def cut_circuits(draw):
+def cut_circuits(draw, max_width=4):
     """A haar_circuits() circuit with one or two optimal1q / mub n <= 2 cuts."""
-    circuit = draw(haar_circuits())
+    circuit = draw(haar_circuits(max_width))
     width, layers = circuit.width, circuit.layers
     locations = []
     for _ in range(draw(st.integers(1, 2))):
@@ -562,3 +568,92 @@ class TestProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "CHUNK_SHOTS", chunk)
             assert run_monte_carlo(*case, shots, seed) == reference
+
+
+def level_requests(engine, paths, depth):
+    """Every (path, channel, outcome, prep) the lattice can reach from `paths`."""
+    loc = engine.locations[depth]
+    out = []
+    for path in paths:
+        for c, ch in enumerate(loc.channels):
+            for o, amp in enumerate(engine.outcomes(path, c)[1]):
+                if np.linalg.norm(amp) >= estimator.MIN_RESIDUAL_NORM:
+                    out += [(path, c, o, p) for p in np.flatnonzero(ch.prep_probs[o]).tolist()]
+    return out
+
+
+def lattice_bytes(engine):
+    return {path: state.tobytes() for path, state in engine._states.items()}
+
+
+class TestLatticeBatches:
+    """A level's new nodes are built as blocks; block size changes no bit."""
+
+    @pytest.mark.parametrize("budget", [1, 16 * 2**6, 3 * 16 * 2**6])
+    def test_block_budget_changes_nothing(self, monkeypatch, budget):
+        case = deep_three_cut_case()
+        u = np.random.Generator(np.random.Philox(key=5)).random((3000, 10))
+
+        def outputs():
+            engine = estimator._CutEngine(*case)
+            tallies = [np.zeros(len(loc.signs), dtype=np.int64) for loc in engine.locations]
+            estimator._sample_chunk(engine, u, tallies)
+            return (
+                run_monte_carlo(*case, 2000, seed=3),
+                lattice_bytes(engine),
+                enumerate_estimator_mean(*case),
+            )
+
+        reference = outputs()
+        monkeypatch.setattr(estimator, "BLOCK_BYTES", budget)
+        assert outputs() == reference
+
+    def test_node_cap_threshold(self, monkeypatch):
+        """The cap counts the nodes below the root, as the lattice held them
+        when each node was built alone: the full deep lattice has 6 + 36 +
+        36 x 28 of them."""
+        case = deep_three_cut_case()
+        nodes = 6 + 36 + 36 * 28
+        monkeypatch.setattr(estimator, "MAX_TRAJECTORY_NODES", nodes)
+        enumerate_estimator_mean(*case)
+        run_monte_carlo(*case, 70_000, seed=1)
+        monkeypatch.setattr(estimator, "MAX_TRAJECTORY_NODES", nodes - 1)
+        with pytest.raises(ResourceLimitError, match="node cap"):
+            enumerate_estimator_mean(*case)
+        with pytest.raises(ResourceLimitError, match="node cap"):
+            run_monte_carlo(*case, 70_000, seed=1)
+
+    def test_node_cap_applies_before_the_block(self, monkeypatch):
+        engine = estimator._CutEngine(*deep_three_cut_case())
+        requests = level_requests(engine, [()], 0)
+        assert len(requests) == 6
+
+        def no_state(*args):
+            raise AssertionError("a state was built past the node cap")
+
+        monkeypatch.setattr(estimator, "MAX_TRAJECTORY_NODES", 5)
+        with monkeypatch.context() as mp:
+            mp.setattr(dense, "insert_block", no_state)
+            with pytest.raises(ResourceLimitError, match="node cap"):
+                engine.children(requests)
+        assert list(engine._states) == [()]
+        monkeypatch.setattr(estimator, "MAX_TRAJECTORY_NODES", 6)
+        assert engine.children(requests) == [path + (c, o, p) for path, c, o, p in requests]
+        assert len(engine._states) == 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_circuits(max_width=5), st.data())
+    def test_batched_nodes_equal_lone_nodes(self, case, data):
+        """Nodes built a level at a time, in blocks of any size, equal bit for
+        bit the nodes built one at a time."""
+        batched, lone = estimator._CutEngine(*case), estimator._CutEngine(*case)
+        state_bytes = 16 * 2 ** case[0].width
+        paths = [()]
+        with pytest.MonkeyPatch.context() as mp:
+            for depth in range(len(batched.locations)):
+                requests = level_requests(batched, paths, depth)
+                columns = data.draw(st.integers(1, max(1, len(requests))))
+                mp.setattr(estimator, "BLOCK_BYTES", columns * state_bytes)
+                paths = batched.children(requests)
+                assert paths == [lone.child(*request) for request in requests]
+        assert lattice_bytes(batched) == lattice_bytes(lone)
