@@ -437,7 +437,12 @@ def run_monte_carlo(
         signs, y = _sample_chunk(engine, gen.random((hi - lo, columns)), tallies)
         values[lo:hi] = engine.gamma_total * signs * f.table[y]
     estimate = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else float("inf")
+    std_error = float("inf")
+    if shots > 1:
+        # values.std(ddof=1) step for step, in place: a second shots-sized
+        # array would make the peak memory hang on how the heap was left
+        np.square(np.subtract(values, estimate, out=values), out=values)
+        std_error = float(np.sqrt(values.sum() / (shots - 1)) / np.sqrt(shots))
     return EstimateReport(
         estimate=estimate,
         shots=shots,

@@ -1,6 +1,7 @@
 """Estimator tests: exact simulation oracle, unbiasedness, determinism, variance."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,19 @@ class TestVariance:
         rep = run_monte_carlo(circ, demo_cut(build_optimal_1q()), f, 100000, seed=0)
         per_shot_var = rep.std_error**2 * rep.shots
         assert per_shot_var <= 9.0 + 0.5  # gamma^2 * max|f|^2 plus slack
+
+    def test_std_error_needs_one_shots_sized_array(self):
+        """The per-shot values are the only shots-sized array: np.std on them
+        would add a second one (numpy reports its buffers to tracemalloc)."""
+        shots = 1 << 22
+        case = demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(*case, shots, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * shots + (16 << 20)
 
 
 @st.composite
