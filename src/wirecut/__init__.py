@@ -81,7 +81,6 @@ from .synth import (
     circuit_unitary,
     edge_color_cz,
     gate_stats,
-    symplectic_conjugate,
     synthesize,
     verify_diagonalizes,
     verify_diagonalizes_symplectic,

@@ -241,8 +241,9 @@ def ptm(channel: MPChannel) -> TransferMatrix:
     size = 4**n
     out = np.zeros((size, size), dtype=complex)
     effects, preps = channel.dense_terms()
-    for a, effect, prep in zip(channel.signs, effects, preps):
-        out += a * np.outer(pauli_vector(prep, n), pauli_vector(effect, n))
+    effect_vecs, prep_vecs = pauli_vector(effects, n), pauli_vector(preps, n)
+    for a, effect, prep in zip(channel.signs, effect_vecs, prep_vecs):
+        out += a * np.outer(prep, effect)
     return TransferMatrix(n, np.ascontiguousarray(out.real))
 
 
@@ -260,7 +261,8 @@ def verify_decomposition(d: Decomposition) -> float:
     parts of its Pauli vectors are rounding, and dropping them changes the
     real product by O(eps^2).
     Memory is two 4^n x T float64 stacks (about 8.6 MB each for mub at n = 5,
-    T = 1056) plus the 4^n x 4^n product.
+    T = 1056) plus the 4^n x 4^n product, whose absolute value is taken in
+    place.
     """
     if d.n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"verification capped at {MAX_PTM_QUBITS} qubits")
@@ -278,7 +280,7 @@ def verify_decomposition(d: Decomposition) -> float:
         start = stop
     total = preps.T @ effects
     total[np.diag_indices_from(total)] -= 1.0
-    return float(np.max(np.abs(total)))
+    return float(np.max(np.abs(total, out=total)))
 
 
 def rank_bound_check(target: TransferMatrix, n: int) -> int:

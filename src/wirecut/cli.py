@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .channels import (
+    BUILDERS,
     build_decomposition,
     load_decomposition,
     verify_decomposition,
@@ -98,7 +99,8 @@ def cmd_verify(args) -> int:
 
 def _decomposition_builder(method: str):
     """Builder from a method name, or from an exported JSON decomposition
-    via the `file:PATH` form."""
+    via the `file:PATH` form.  A method name is checked here, before any
+    file is read, so the error names the flag and not a file."""
     if method.startswith("file:"):
         d = load_decomposition(method[5:])
 
@@ -110,12 +112,17 @@ def _decomposition_builder(method: str):
             return d
 
         return from_file
+    if method not in BUILDERS:
+        raise InvalidInputError(
+            f"--method: unknown method {method!r}; choose from {sorted(BUILDERS)} or file:PATH"
+        )
     return lambda n: build_decomposition(method, n)
 
 
 def cmd_estimate(args) -> int:
+    builder = _decomposition_builder(args.method)
     circuit, f = load_circuit(args.circuit)
-    cuts = load_cuts(args.cuts, _decomposition_builder(args.method))
+    cuts = load_cuts(args.cuts, builder)
     report = run_monte_carlo(circuit, cuts, f, args.shots, seed=args.seed)
     text = json.dumps(report.to_json(), sort_keys=True) + "\n"
     _write_text(text, args.out)

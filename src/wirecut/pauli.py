@@ -14,6 +14,7 @@ over GF(2).  Dense realizations back all of this as an oracle for small n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -181,7 +182,40 @@ def all_pauli_strings(n: int) -> list[PauliString]:
     return [pauli_from_index(k, n) for k in range(4**n)]
 
 
-_SIG = np.stack([_DENSE_1Q[ch] for ch in _LETTERS])  # (4, 2, 2)
+@functools.cache
+def _walsh_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables :func:`pauli_vector` uses at width n, built on first use.
+
+    (gather, hadamard, order, phase): gather[r, b] is the flat position of
+    mat[r, r ^ b]; hadamard[a, r] = (-1)^(a.r); order[k] is string k's
+    position in the row-major (a, b) grid; phase[k] = i^|a & b| 2^(-n/2).
+    Qubit 1 is the most significant bit of a, b and r alike.  The arrays
+    are shared by every call, so they are read-only.
+    """
+    dim = 2**n
+    r = np.arange(dim)
+    gather = r[:, None] * dim + (r[:, None] ^ r[None, :])
+    k = np.arange(4**n)
+    a = np.zeros_like(k)
+    b = np.zeros_like(k)
+    for q in range(n):  # base-4 digit q of k is qubit n - q: I, X, Y, Z = 0..3
+        digit = (k >> 2 * q) & 3
+        a |= (digit >> 1) << q
+        b |= ((digit ^ (digit >> 1)) & 1) << q
+    tables = (
+        gather,
+        1.0 - 2.0 * (_popcount(r[:, None] & r[None, :], n) & 1),
+        a * dim + b,
+        np.array([1, 1j, -1, -1j])[_popcount(a & b, n) % 4] * 2.0 ** (-n / 2),
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
+    """Set bits of each n-bit mask."""
+    return sum(((masks >> q) & 1 for q in range(n)), np.zeros_like(masks))
 
 
 def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
@@ -192,19 +226,24 @@ def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
     Hilbert-Schmidt inner product.  A stack of shape (..., 2^n, 2^n) gives
     one vector per matrix, shape (..., 4^n), each equal bit for bit to the
     single-matrix call.
+
+    Write a string with z-mask a and x-mask b as i^|a & b| X^b Z^a (Y = iXZ
+    on each qubit).  Then Tr[sigma mat] = i^|a & b| sum_r (-1)^(a.r)
+    mat[r, r ^ b], so one gather lays mat[r, r ^ b] out as a (r, b) grid,
+    one real product with the +-1 Walsh-Hadamard matrix H^(x)n sums over r
+    for every a at once (on the real and imaginary parts side by side),
+    and one reorder into string order, times the phase, finishes.
     """
     if mat.shape[-2:] != (2**n, 2**n):
         raise InvalidInputError("matrix shape does not match qubit count")
+    gather, hadamard, order, phase = _walsh_plan(n)
     lead = mat.shape[:-2]
-    b = len(lead)
-    t = np.asarray(mat, dtype=complex).reshape(lead + (2,) * (2 * n))
-    # After q contractions the axes are (lead, p_1..p_q, r_(q+1)..r_n, c_(q+1)..c_n).
-    # Tr[S A] = sum S[r, c] A[c, r], so sigma's row index pairs with A's column.
-    for q in range(n):
-        rows_left = n - q
-        t = np.tensordot(t, _SIG, axes=([b + q, b + q + rows_left], [2, 1]))
-        t = np.moveaxis(t, -1, b + q)
-    return t.reshape(lead + (4**n,)) * 2.0 ** (-n / 2)
+    flat = np.asarray(mat, dtype=complex).reshape(lead + (4**n,))
+    grid = np.take(flat, gather, axis=-1).view(float)  # (..., r, 2b): re, im interleaved
+    sums = np.matmul(hadamard, grid).view(complex)  # (..., a, b)
+    out = sums.reshape(lead + (4**n,))[..., order]
+    out *= phase
+    return out
 
 
 def gf2_basis(vectors: Iterable[int]) -> list[int]:

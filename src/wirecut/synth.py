@@ -19,7 +19,7 @@ import numpy as np
 from . import dense
 from .errors import InvalidInputError, ResourceLimitError, SynthesisError
 from .families import CommutingFamily
-from .pauli import PauliString, gf2_basis, pauli_from_bits, to_dense
+from .pauli import PauliString, gf2_basis, to_dense
 
 MAX_DENSE_VERIFY_QUBITS = 10
 
@@ -126,17 +126,6 @@ def gate_stats(circuit: CliffordCircuit) -> GateStats:
         n_cz=names.count("CZ"),
         depth=circuit.depth,
     )
-
-
-def symplectic_conjugate(gate: Gate, bits: Sequence[int]) -> tuple[int, ...]:
-    """Phase-free action of conjugation by `gate` on a (z_1..z_n,x_1..x_n) vector."""
-    bits = tuple(bits)
-    if len(bits) % 2:
-        raise InvalidInputError("bit vector length must be even")
-    if any(q > len(bits) // 2 for q in gate.qubits):
-        raise InvalidInputError("gate qubit index out of range")
-    p = pauli_from_bits(bits)
-    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits)).bit_vector()
 
 
 def _conjugate_masks(gate: Gate, z: int, x: int) -> tuple[int, int]:

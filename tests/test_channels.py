@@ -1,6 +1,7 @@
 """Decomposition builders: exact gamma/m values and transfer-matrix residuals."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
 
@@ -113,6 +114,20 @@ class TestVerifyDecomposition:
     def test_matches_reference_sum(self, build):
         d = build()
         assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
+
+    def test_residual_needs_one_product_sized_array(self):
+        """Beyond the two 4^n x T stacks, the 4^n x 4^n product is the only
+        large array: np.abs into a new array would add a second one (numpy
+        reports its buffers to tracemalloc)."""
+        d = build_decomposition("mub", 5)
+        rows = sum(len(ch.signs) for _, ch in d.channels)
+        tracemalloc.start()
+        try:
+            verify_decomposition(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4**5 * (2 * rows + 4**5) + (4 << 20)
 
     def test_perturbed_weight_matches_reference(self):
         channels = list(build_peng_1q().channels)

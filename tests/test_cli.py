@@ -184,6 +184,21 @@ class TestExactAndEstimate:
         assert code == 2
         assert "width" in err
 
+    @pytest.mark.parametrize("circuit", ["demo_circuit.json", "no_such_file.json"])
+    def test_unknown_method_names_the_flag(self, capsys, circuit):
+        code, out, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / circuit),
+            "--cuts", str(DEMOS / "demo_cut.json"),
+            "--method", "bogus",
+            "--shots", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --method: unknown method 'bogus'")
+        assert ".json" not in err
+
     def test_zero_shots_exit_2(self, capsys):
         code, _, err = run(
             capsys,

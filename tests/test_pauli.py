@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.pauli import (
@@ -37,6 +38,12 @@ def dense_oracle(label):
     for ch in label[1:]:
         out = np.kron(out, mats[ch])
     return out
+
+
+def trace_loop(mat, n):
+    """Tr[sigma_k mat] 2^(-n/2) one string at a time, from the kron oracle."""
+    strings = all_pauli_strings(n)
+    return np.array([np.trace(dense_oracle(p.label) @ mat) for p in strings]) * 2.0 ** (-n / 2)
 
 
 class TestEncoding:
@@ -177,18 +184,38 @@ class TestDense:
             assert min(re, im) < 1e-14
 
 
+def square_matrices(max_magnitude):
+    """Complex 2^n x 2^n matrices, n <= 4, with finite entries up to max_magnitude."""
+    entries = st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False, allow_infinity=False)
+    return st.integers(1, 4).flatmap(lambda n: arrays(complex, (2**n, 2**n), elements=entries))
+
+
 class TestPauliVector:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_trace_loop(self, n):
         rng = np.random.default_rng(n)
         mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         fast = pauli_vector(mat, n)
-        for k, p in enumerate(all_pauli_strings(n)):
-            slow = np.trace(to_dense(p) @ mat) * 2.0 ** (-n / 2)
-            np.testing.assert_allclose(fast[k], slow, atol=1e-10)
+        np.testing.assert_allclose(fast, trace_loop(mat, n), atol=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(max_magnitude=1e6))
+    def test_random_matrices_match_trace_loop(self, mat):
+        n = mat.shape[0].bit_length() - 1
+        scale = np.abs(mat).max()
+        np.testing.assert_allclose(
+            pauli_vector(mat, n), trace_loop(mat, n), rtol=0, atol=1e-10 * scale
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(max_magnitude=1))
+    def test_hermitian_input_gives_real_vector(self, mat):
+        n = mat.shape[0].bit_length() - 1
+        herm = (mat + mat.conj().T) / 2
+        assert np.abs(pauli_vector(herm, n).imag).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (1,), (33,)])
     def test_stack_matches_single_calls_bitwise(self, n, lead):
         rng = np.random.default_rng(10 * n + len(lead))
         shape = lead + (2**n, 2**n)

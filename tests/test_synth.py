@@ -12,15 +12,21 @@ from wirecut.synth import (
     GATE_NAMES,
     CliffordCircuit,
     Gate,
+    _conjugate_masks,
     circuit_unitary,
     conjugate_by_inverse,
     edge_color_cz,
     gate_stats,
-    symplectic_conjugate,
     synthesize,
     verify_diagonalizes,
     verify_diagonalizes_symplectic,
 )
+
+
+def symplectic_conjugate(gate, bits):
+    """Phase-free action of conjugation by `gate` on a (z_1..z_n, x_1..x_n) vector."""
+    p = pauli_from_bits(bits)
+    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits)).bit_vector()
 
 
 def family_from_labels(*labels):
@@ -84,10 +90,6 @@ class TestSymplecticAction:
             ratio = conj @ np.linalg.inv(to_dense(out))
             np.testing.assert_allclose(ratio, ratio[0, 0] * np.eye(4), atol=1e-12)
             assert abs(abs(ratio[0, 0]) - 1) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            symplectic_conjugate(Gate("H", (3,)), (0, 0, 1, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_circuit_conjugation_matches_dense(self, n):
