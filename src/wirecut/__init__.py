@@ -23,7 +23,6 @@ from .channels import (
     ptm,
     rank_bound_check,
     single_qubit_clifford_group,
-    tensor_decompositions,
     verify_decomposition,
 )
 from .costs import (
@@ -60,7 +59,6 @@ from .families import (
     CommutingFamily,
     FamilyPartition,
     expand_family,
-    extract_generators,
     generate_partition,
     mub_overlap_check,
     validate_partition,

@@ -25,6 +25,7 @@ precision through the Pauli transfer matrix.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import H_1Q, S_1Q, basis_state, is_unitary, parity
+from .dense import H_1Q, S_1Q, SQRT2_INV, basis_state, is_unitary, parity
 from .errors import (
     DesignViolationError,
     InvalidInputError,
@@ -203,12 +204,17 @@ class Decomposition:
             raise InvalidInputError("decomposition needs at least one channel")
         if any(ch.n != self.n for _, ch in self.channels):
             raise InvalidInputError("channel width mismatch")
+        # sampling divides by float(gamma), so it must be a positive double
+        gamma = self.gamma
+        if not (0 < gamma <= sys.float_info.max and float(gamma) > 0):
+            raise InvalidInputError(
+                f"the one-norm of the channels' weights must be finite and non-zero, got {gamma}"
+            )
 
     @property
     def gamma(self) -> Weight:
         """One-norm of the weights; exact when all weights are Fractions."""
-        total = sum(abs(c) for c, _ in self.channels)
-        return total
+        return sum(abs(c) for c, _ in self.channels)
 
     @property
     def m(self) -> int:
@@ -453,99 +459,52 @@ def build_randomized_nq(
     return out
 
 
-def _bell_basis_vector(a: int, b: int) -> np.ndarray:
-    """(|0,b> + (-1)^a |1, 1-b>)/sqrt(2) on one (sender, ancilla) qubit pair."""
-    out = np.zeros(4, dtype=complex)
-    out[b] = 1.0
-    out[2 + (1 - b)] = (-1.0) ** a
-    return out / np.sqrt(2.0)
-
-
 def build_teleport_nq(n: int) -> Decomposition:
     """Teleportation-based decomposition with the ancilla legs absorbed.
 
     The Bell pairs behind n parallel teleportations are replaced by a signed
     separable mixture; folding the Bell measurement and the Pauli correction
-    into effects and preparations leaves plain n-qubit channels.  The channel
-    count 2^(2^n) + 4^n - 2^n - 1 explodes, hence the n <= 2 guard.
+    into effects and preparations leaves plain n-qubit channels.  Bell
+    outcome mu = (z, x), with bits 2k + 1 and 2k of mu giving bit k of z and
+    x, pairs sender basis state i with ancilla state i ^ x at amplitude
+    (-1)^(i.z) s^n, s = 1/sqrt(2), and is corrected by Z^z X^x, which sends
+    |i> to (-1)^(i.z) |i ^ x>.  So ancilla state e gives the effect
+    (-1)^(i.z) s^n conj(e)[i ^ x] and the prep conj(e) scattered to i ^ x
+    with sign (-1)^(i.z).  The channel count 2^(2^n) + 4^n - 2^n - 1
+    explodes, hence the n <= 2 guard.
     """
     if n > 2:
         raise ResourceLimitError("teleport builder limited to n <= 2")
     dim = 2**n
     big = 2**dim - 1  # number of phase-ladder states
-    # phase-ladder states e_r and their conjugates
-    ladder = np.array(
-        [
-            [
-                np.exp(2j * np.pi * r * (2**j - 1) / big) / np.sqrt(dim)
-                for j in range(dim)
-            ]
-            for r in range(1, big + 1)
-        ]
-    )
-    # Bell-measurement vectors for every outcome mu, arranged as a matrix
-    # mat[sender_index, ancilla_index]
-    bell_mats = []
-    corrections = []
-    for mu in range(4**n):
-        per_pair = []
-        z_mask = x_mask = 0
-        for l in range(n):
-            a = (mu >> (2 * (n - 1 - l) + 1)) & 1
-            b = (mu >> (2 * (n - 1 - l))) & 1
-            per_pair.append(_bell_basis_vector(a, b))
-            z_mask |= a << (n - 1 - l)
-            x_mask |= b << (n - 1 - l)
-        tensor = per_pair[0].reshape(2, 2)
-        for vec in per_pair[1:]:
-            tensor = np.tensordot(tensor, vec.reshape(2, 2), axes=0)
-        # axes are (A_1, C_1, A_2, C_2, ...); regroup into (A..., C...)
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        mat = np.transpose(tensor, order).reshape(dim, dim)
-        bell_mats.append(mat)
-        # correction V_mu = prod Z^a X^b on the receiving qubits (global phase free)
-        idx = np.arange(dim)
-        signs = np.where(parity(idx & z_mask), -1.0, 1.0)
-        corr = np.zeros((dim, dim), dtype=complex)
-        corr[idx ^ x_mask, idx] = signs
-        corrections.append(corr)
+    # phase-ladder states e_r, row r - 1 for r = 1..big
+    ladder = np.exp(2j * np.pi * np.arange(1, big + 1)[:, None] * (2 ** np.arange(dim) - 1) / big)
+    mu = np.arange(4**n)[:, None]
+    z = sum(((mu >> (2 * k + 1)) & 1) << k for k in range(n))
+    x = sum(((mu >> (2 * k)) & 1) << k for k in range(n))
+    idx = np.arange(dim)
+    signs = np.where(parity(idx & z), -1.0, 1.0)  # row mu: (-1)^(i.z) over i
+    amp = math.prod([SQRT2_INV] * n)  # one factor per pair
+
+    def scatter(at, values) -> np.ndarray:
+        out = np.zeros((4**n, dim), dtype=complex)
+        out[mu, at] = values
+        return out
+
+    def channel(effects, preps) -> MPChannel:
+        return _pure_channel(n, [(1, e, chi) for e, chi in zip(effects, preps)])
 
     channels: list[tuple[Weight, MPChannel]] = []
-    for r in range(big):
-        e_conj = ladder[r].conj()
-        terms = [(1, bell_mats[mu] @ e_conj, corrections[mu] @ e_conj) for mu in range(4**n)]
-        channels.append((Fraction(dim, big), _pure_channel(n, terms)))
+    for e_conj in (ladder / np.sqrt(dim)).conj():
+        preps = scatter(idx ^ x, signs * e_conj)
+        channels.append((Fraction(dim, big), channel(signs * amp * e_conj[idx ^ x], preps)))
     for j in range(dim):
         for k in range(dim):
-            if j == k:
-                continue
-            terms = [
-                (1, bell_mats[mu][:, j], corrections[mu] @ basis_state(k, dim))
-                for mu in range(4**n)
-            ]
-            channels.append((Fraction(-1, dim), _pure_channel(n, terms)))
+            if j != k:
+                effects = scatter(j ^ x, signs[mu, j ^ x] * amp)
+                preps = scatter(k ^ x, signs[:, [k]])
+                channels.append((Fraction(-1, dim), channel(effects, preps)))
     return Decomposition(n, tuple(channels), "teleport")
-
-
-def tensor_decompositions(d1: Decomposition, d2: Decomposition) -> Decomposition:
-    """Product decomposition on n1 + n2 qubits; weights and channels multiply."""
-    n = d1.n + d2.n
-    channels = []
-    # outcome pairs (o1, o2) and prep pairs (p1, p2) in row-major order, as kron orders them
-    for c1, ch1 in d1.channels:
-        for c2, ch2 in d2.channels:
-            outcomes = len(ch1.signs) * len(ch2.signs)
-            product = MPChannel(
-                n,
-                np.outer(ch1.signs, ch2.signs).ravel(),
-                np.einsum("ai,bj->abij", ch1.effects, ch2.effects).reshape(outcomes, -1),
-                np.einsum("ap,bq->abpq", ch1.prep_probs, ch2.prep_probs).reshape(outcomes, -1),
-                np.einsum("api,bqj->abpqij", ch1.preps, ch2.preps).reshape(
-                    outcomes, ch1.preps.shape[1] * ch2.preps.shape[1], -1
-                ),
-            )
-            channels.append((c1 * c2, product))
-    return Decomposition(n, tuple(channels), f"{d1.label}x{d2.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +512,8 @@ def tensor_decompositions(d1: Decomposition, d2: Decomposition) -> Decomposition
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
 def _matrix_from_json(data) -> np.ndarray:

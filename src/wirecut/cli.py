@@ -140,8 +140,7 @@ def cmd_bench(args) -> int:
     if args.bench == "overhead":
         _write_text(overhead_csv(overhead_table(args.nmax)), args.out)
     elif args.bench == "gatecount":
-        rows = gate_count_bench(args.nmax, optimize_depth=args.optimize_depth)
-        _write_text(gatecount_csv(rows), args.out)
+        _write_text(gatecount_csv(gate_count_bench(args.nmax)), args.out)
     else:  # timemodel
         params = TimeModelParams(args.m, args.shots, args.tc, args.tq)
         print(repr(predict_time(params)))
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = bench_sub.add_parser("gatecount")
     b.add_argument("--nmax", type=int, required=True)
     b.add_argument("--out", default=None)
-    b.add_argument("--optimize-depth", action="store_true")
     b = bench_sub.add_parser("timemodel")
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--tc", type=float, required=True)

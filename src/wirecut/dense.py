@@ -15,11 +15,9 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 H_1Q = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 S_1Q = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG_1Q = np.array([[1, 0], [0, -1j]], dtype=complex)
-X_1Q = np.array([[0, 1], [1, 0]], dtype=complex)
 CX_2Q = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-CZ_2Q = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def apply_cz(array: np.ndarray, q1: int, q2: int, width: int) -> np.ndarray:
@@ -34,7 +32,7 @@ def apply_cz(array: np.ndarray, q1: int, q2: int, width: int) -> np.ndarray:
     return out.reshape(array.shape)
 
 
-def apply_block(state: np.ndarray, gate: np.ndarray, first: int, k: int, width: int) -> np.ndarray:
+def apply_block(state: np.ndarray, gate: np.ndarray, first: int, k: int) -> np.ndarray:
     """Apply a 2^k x 2^k unitary on the contiguous qubits first..first+k-1.
 
     It acts along axis 0 of `state`, which may carry trailing axes (the
@@ -46,24 +44,25 @@ def apply_block(state: np.ndarray, gate: np.ndarray, first: int, k: int, width: 
     return out.reshape(state.shape)
 
 
-def partial_inner(state: np.ndarray, vec: np.ndarray, first: int, k: int, width: int) -> np.ndarray:
+def partial_inner(state: np.ndarray, vec: np.ndarray, first: int, k: int) -> np.ndarray:
     """<vec| applied to the contiguous qubits first..first+k-1 of a pure state.
 
     Returns the (unnormalized) residual vector on the remaining qubits,
-    shaped (2^(first-1), 2^(width-first+1-k)).  A stack of vectors, shaped
-    (..., 2^k), gives one residual per vector, stacked the same way.
+    shaped (2^(first-1), 2^(W-first+1-k)) for a W-qubit state.  A stack of
+    vectors, shaped (..., 2^k), gives one residual per vector, stacked the
+    same way.
     """
     lead = 2 ** (first - 1)
     shaped = state.reshape(lead, 2**k, -1)
     return np.einsum("...b,ibj->...ij", vec.conj(), shaped)
 
 
-def insert_block(rest: np.ndarray, vec: np.ndarray, first: int, k: int, width: int) -> np.ndarray:
+def insert_block(rest: np.ndarray, vec: np.ndarray, first: int, k: int) -> np.ndarray:
     """Inverse of :func:`partial_inner`: tensor `vec` back at the wire positions."""
     lead = 2 ** (first - 1)
     shaped = rest.reshape(lead, -1)
     out = np.einsum("ij,b->ibj", shaped, vec)
-    return out.reshape(2**width)
+    return out.reshape(-1)
 
 
 def parity(values: np.ndarray) -> np.ndarray:

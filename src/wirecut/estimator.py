@@ -38,6 +38,7 @@ blocks are allocated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,6 +120,10 @@ class CutSpec:
             if a.after_layer == b.after_layer:
                 if a.first_wire + a.decomposition.n > b.first_wire:
                     raise InvalidInputError("overlapping cuts at one layer boundary")
+        if not math.isfinite(self.gamma_total):
+            raise InvalidInputError(
+                f"the product of the cut gammas, {self.gamma_total}, is not finite"
+            )
 
     @property
     def gamma_total(self) -> float:
@@ -193,7 +198,7 @@ def _initial_state(width: int) -> np.ndarray:
 
 def _apply_layers(state: np.ndarray, circuit: LayeredCircuit, lo: int, hi: int) -> np.ndarray:
     for layer in circuit.layers[lo:hi]:
-        state = dense.apply_block(state, layer.matrix, layer.first, layer.span, circuit.width)
+        state = dense.apply_block(state, layer.matrix, layer.first, layer.span)
     return state
 
 
@@ -271,15 +276,14 @@ class _CutEngine:
         if cached is not None:
             return cached
         loc = self.locations[len(path) // 3]
-        amps = dense.partial_inner(
-            self._states[path], loc.channels[chan].effects, loc.first, loc.span, self.circuit.width
-        )
+        effects = loc.channels[chan].effects
+        amps = dense.partial_inner(self._states[path], effects, loc.first, loc.span)
         probs = np.sum(np.abs(amps.reshape(len(amps), -1)) ** 2, axis=1)
         total = probs.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
         cum = np.cumsum(probs / total)
-        # the table reaches 1 at the last outcome child() can condition on, so
+        # the table reaches 1 at the last outcome children() can condition on, so
         # rounding leaves no mass on the impossible outcomes after it
         last = len(amps) - 1
         while last > 0 and np.linalg.norm(amps[last]) < MIN_RESIDUAL_NORM:
@@ -287,10 +291,6 @@ class _CutEngine:
         cum[last:] = 1.0
         self._outcomes[key] = (cum, amps)
         return cum, amps
-
-    def child(self, path: tuple, chan: int, outcome: int, prep: int) -> tuple:
-        """Path key of the node reached by (channel, outcome, prep) at `path`."""
-        return self.children([(path, chan, outcome, prep)])[0]
 
     def children(self, requests: Sequence[tuple[tuple, int, int, int]]) -> list[tuple]:
         """Path keys of the nodes reached by distinct (path, channel, outcome,
@@ -313,8 +313,7 @@ class _CutEngine:
         loc = self.locations[depth]
         lo = self.boundaries[depth]
         hi = self.boundaries[depth + 1] if depth + 1 < len(self.boundaries) else len(self.circuit.layers)
-        width = self.circuit.width
-        dim = 2**width
+        dim = 2**self.circuit.width
         columns = max(1, BLOCK_BYTES // (16 * dim))
         for start in range(0, len(new), columns):
             batch = new[start : start + columns]
@@ -326,7 +325,7 @@ class _CutEngine:
                 if norm < MIN_RESIDUAL_NORM:
                     raise NumericFailureError("conditioned on a zero-probability outcome")
                 chi = loc.channels[chan].preps[outcome, prep]
-                block[:, j] = dense.insert_block(amp / norm, chi, loc.first, loc.span, width)
+                block[:, j] = dense.insert_block(amp / norm, chi, loc.first, loc.span)
             # one contiguous row per node, so later contractions see the
             # memory layout a lone state has
             states = np.ascontiguousarray(_apply_layers(block, self.circuit, lo, hi).T)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .pauli import (
     gf2_basis,
     gf2_independent,
     gf2_rank,
-    pauli_from_bits,
 )
 
 MAX_PARTITION_QUBITS = 12
@@ -189,31 +188,6 @@ def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
     gens = tuple(generators)
     vecs = check_generators(gens)
     return _pauli_set(gens[0].n, _span_keys(vecs))
-
-
-def extract_generators(members: Iterable[PauliString]) -> list[PauliString]:
-    """A canonical GF(2) basis (by pivot order) of a maximally commuting family."""
-    members = frozenset(members)
-    if not members:
-        raise InvalidInputError("empty member set")
-    n = next(iter(members)).n
-    if any(p.n != n for p in members):
-        raise InvalidInputError("member width mismatch")
-    if len(members) != 2**n - 1:
-        raise InvalidInputError(f"family must have 2^n - 1 = {2**n - 1} members")
-    if any(p.is_identity for p in members):
-        raise InvalidInputError("identity must not be a member")
-    basis = gf2_basis(sorted(_vector_int(p) for p in members))
-    if len(basis) != n:
-        raise InvalidInputError("members do not span an n-dimensional GF(2) space")
-    width = 2 * n
-    gens = [
-        pauli_from_bits([(v >> (width - 1 - k)) & 1 for k in range(width)])
-        for v in basis  # descending packed value = ascending pivot position
-    ]
-    if expand_family(gens) != members:  # raises if the basis does not commute
-        raise InvalidInputError("member set is not closed under products")
-    return gens
 
 
 def _line_family(n: int, lam: int) -> CommutingFamily:

@@ -247,9 +247,9 @@ def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     mat = np.eye(dim, dtype=complex)
     for g in circuit.gates:
         if g.name == "H":
-            mat = dense.apply_block(mat, dense.H_1Q, g.qubits[0], 1, circuit.n)
+            mat = dense.apply_block(mat, dense.H_1Q, g.qubits[0], 1)
         elif g.name == "SDG":
-            mat = dense.apply_block(mat, dense.SDG_1Q, g.qubits[0], 1, circuit.n)
+            mat = dense.apply_block(mat, dense.SDG_1Q, g.qubits[0], 1)
         else:
             mat = dense.apply_cz(mat, g.qubits[0], g.qubits[1], circuit.n)
     return mat

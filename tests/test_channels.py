@@ -1,5 +1,6 @@
 """Decomposition builders: exact gamma/m values and transfer-matrix residuals."""
 
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,6 @@ from wirecut.channels import (
     ptm,
     rank_bound_check,
     single_qubit_clifford_group,
-    tensor_decompositions,
     verify_decomposition,
 )
 from wirecut.dense import basis_state, haar_unitary
@@ -101,11 +101,6 @@ REFERENCE_CASES = [
     pytest.param(partial(build_decomposition, method, n), id=f"{method}-{n}")
     for method, n in [("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1),
                       ("teleport", 2), ("mub", 1), ("mub", 2), ("mub", 3), ("mub", 4)]
-] + [
-    pytest.param(
-        lambda: tensor_decompositions(build_optimal_1q(), build_optimal_1q()),
-        id="optimal1q-x-optimal1q",
-    )
 ]
 
 
@@ -261,6 +256,16 @@ class TestTeleport:
         with pytest.raises(ResourceLimitError):
             build_teleport_nq(3)
 
+    @pytest.mark.parametrize("n, digest, length", [
+        (1, "efae5d89cbe3a85032337e0796a11567feb580a6264d6f15cb7270eb7ead3aea", 5868),
+        (2, "47c8ff44a340e6505ffbc8a4da3fcaf442f99cd40ae244a6f5de124326c33935", 421950),
+    ])
+    def test_json_bytes_pinned(self, n, digest, length):
+        """Every effect, prep, sign and signed zero, as the exported JSON
+        text; the digests were taken from the per-pair Bell-vector builder."""
+        text = json.dumps(decomposition_to_json(build_teleport_nq(n)))
+        assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == (digest, length)
+
 
 class TestRankBound:
     def test_identity_bounds(self):
@@ -275,18 +280,6 @@ class TestRankBound:
         prep = projector(basis_state(0, 2))
         mat = np.outer(pauli_vector(prep, 1), [np.sqrt(2), 0, 0, 0])
         assert rank_bound_check(TransferMatrix(1, mat.real), 1) == 1
-
-
-class TestProductRule:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_tensor_optimal_cuts(self, k):
-        d = build_optimal_1q()
-        out = d
-        for _ in range(k - 1):
-            out = tensor_decompositions(out, d)
-        assert out.gamma == Fraction(3**k)
-        assert out.m == 3**k
-        assert verify_decomposition(out) < 1e-10
 
 
 ZERO = projector(basis_state(0, 2))
@@ -418,6 +411,20 @@ def exported_decompositions(draw):
 
 
 class TestValidationAndJson:
+    @pytest.mark.parametrize("weights", [
+        (0.0, 0.0, -0.0),
+        (1e308, -1e308, 1.0),
+        (float("nan"), 1.0, 1.0),
+        (Fraction(10**400), 1, 1),
+        (Fraction(1, 10**400), 0, 0),
+    ])
+    def test_one_norm_must_be_a_positive_double(self, weights):
+        """Sampling divides by float(gamma): zero, overflowing, NaN and
+        underflowing one-norms are rejected when the decomposition is built."""
+        rows = build_optimal_1q().channels
+        with pytest.raises(InvalidInputError, match="one-norm of the channels' weights"):
+            Decomposition(1, tuple((w, ch) for w, (_, ch) in zip(weights, rows)), "bad")
+
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_rejected(self, case):
         terms, message = REJECTED[case]

@@ -1,13 +1,17 @@
 """CLI contract tests: exit codes, determinism, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wirecut.cli import main
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def run(capsys, *argv):
@@ -122,6 +126,31 @@ class TestExactAndEstimate:
             assert code == 0
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 + 5)])
+    def test_estimate_bytes_agree_across_processes(self, tmp_path, seed):
+        """Two interpreters with different string-hash seeds write the same
+        estimate bytes, for a seed that fits 64 bits and one that does not."""
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        files = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash{hash_seed}.json"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "wirecut.cli", "estimate",
+                    "--circuit", str(DEMOS / "demo_circuit.json"),
+                    "--cuts", str(DEMOS / "demo_cut.json"),
+                    "--method", "mub",
+                    "--shots", "20000",
+                    "--seed", seed,
+                    "--out", str(out),
+                ],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+                check=True,
+            )
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+        assert json.loads(files[0])["seed"] == int(seed)
 
     def test_estimate_from_exported_decomposition(self, capsys, tmp_path):
         from wirecut.channels import build_optimal_1q, save_decomposition
@@ -314,6 +343,13 @@ MALFORMED = {
     ),
     "weight_not_number": (
         *_decomposition(lambda d: d["channels"][1].update(weight="1")), "channels[1].weight"
+    ),
+    "weights_zero": (
+        *_decomposition(lambda d: [c.update(weight=0) for c in d["channels"]]), "channels"
+    ),
+    "weights_overflow": (
+        *_decomposition(lambda d: [c.update(weight=1e308) for c in d["channels"][:2]]),
+        "channels",
     ),
     "weight_infinite": (
         *_decomposition(lambda d: d["channels"][0].update(weight=float("inf"))),

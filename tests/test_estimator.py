@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from wirecut import dense, estimator
 from wirecut.channels import (
-    ChannelTerm,
     Decomposition,
     MPChannel,
     build_decomposition,
     build_mub_default,
     build_optimal_1q,
     build_peng_1q,
-    tensor_decompositions,
 )
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.estimator import (
@@ -118,7 +116,7 @@ class TestSamplePrep:
         assert loc.channel_cum[-1] == 1.0
         for c in range(len(loc.signs)):
             assert engine.outcomes((), c)[0][-1] == 1.0
-            assert engine.final_dist(engine.child((), c, 0, 0))[0][-1] == 1.0
+            assert engine.final_dist(engine.children([((), c, 0, 0)])[0])[0][-1] == 1.0
 
 
 class TestMonteCarlo:
@@ -202,6 +200,13 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError, match="outside the circuit"):
             run_monte_carlo(demo_circuit(), cuts, PostProcess.parity(3), 10)
 
+    def test_overflowing_gamma_total_rejected(self):
+        """Each cut's gamma is a finite double, their product is not."""
+        rows = build_optimal_1q().channels
+        big = Decomposition(1, tuple((1e200 * float(c), ch) for c, ch in rows), "big")
+        with pytest.raises(InvalidInputError, match="product of the cut gammas"):
+            CutSpec((CutLocation(1, 1, big), CutLocation(1, 2, big)))
+
 
 def deep_three_cut_case():
     """6 qubits, 15 fixed Haar layers in brickwork, two optimal1q cuts after
@@ -265,29 +270,29 @@ class TestCutSeparation:
         assert rep_a.gamma_total == rep_b.gamma_total
 
 
-def split_depolarizing_product():
-    """randomized x randomized, each with its depolarizing channel Tr[rho] I/2
-    loaded from dense terms as: outcome 0 prepares I/2, outcome 1 is split in
-    halves that prepare |0> and |1>.  Its rows hold 2, 1 and 1 prep states,
-    so product rows such as [1/2, 0, 1/2, 0] have zero weights mid-row."""
-    k0, k1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    terms = [ChannelTerm(1, k0, np.eye(2) / 2), ChannelTerm(1, k1 / 2, k0), ChannelTerm(1, k1 / 2, k1)]
-    depol = MPChannel.from_terms(1, terms)
+def split_depolarizing():
+    """randomized with its depolarizing channel Tr[rho] I/2 written as: outcome
+    0 prepares |0> or |1> with weights [0.5, 0, 0.5], the zero-weight middle
+    slot holding no state at all, and outcome 1 prepares I/2 as [0.5, 0.5, 0]."""
+    k0, k1 = np.eye(2, dtype=complex)
+    preps = np.array([[k0, np.zeros(2), k1], [k0, k1, np.zeros(2)]])
+    depol = MPChannel(1, np.ones(2, dtype=int), np.eye(2), [[0.5, 0, 0.5], [0.5, 0.5, 0]], preps)
     rand = build_decomposition("randomized", 1)
-    d = Decomposition(1, rand.channels[:-1] + ((rand.channels[-1][0], depol),), "split")
-    return tensor_decompositions(d, d)
+    return Decomposition(1, rand.channels[:-1] + ((rand.channels[-1][0], depol),), "split")
 
 
 class TestUnbiasedness:
     def test_padded_prep_ensembles(self):
-        d = split_depolarizing_product()
-        loc = estimator._RealizedLocation(CutLocation(1, 2, d), 4)
-        np.testing.assert_array_equal(loc.prep_cums[-1][1], [0.5, 0.5, 1.0, 1.0])
+        d = split_depolarizing()
+        loc = estimator._RealizedLocation(CutLocation(1, 2, d), 3)
+        np.testing.assert_array_equal(loc.prep_cums[-1], [[0.5, 0.5, 1.0], [0.5, 1.0, 1.0]])
         rng = np.random.default_rng(5)
-        layers = tuple(CircuitLayer(1, dense.haar_unitary(16, rng)) for _ in range(2))
-        circ, f = LayeredCircuit(4, layers), PostProcess.parity(4)
-        mean = enumerate_estimator_mean(circ, CutSpec((CutLocation(1, 2, d),)), f)
-        assert abs(mean - exact_expectation(circ, f)) < 1e-10
+        layers = tuple(CircuitLayer(1, dense.haar_unitary(8, rng)) for _ in range(2))
+        circ, f = LayeredCircuit(3, layers), PostProcess.parity(3)
+        cuts = CutSpec((CutLocation(1, 2, d),))
+        assert abs(enumerate_estimator_mean(circ, cuts, f) - exact_expectation(circ, f)) < 1e-10
+        rep = run_monte_carlo(circ, cuts, f, 20_000, seed=2)
+        assert abs(rep.estimate - exact_expectation(circ, f)) < 5 * rep.std_error
 
     @pytest.mark.parametrize("build", [build_peng_1q, build_optimal_1q])
     def test_demo_zero_noise(self, build):
@@ -559,10 +564,10 @@ class TestProperties:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         state = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
         vecs = rng.normal(size=(rows, 2**k)) + 1j * rng.normal(size=(rows, 2**k))
-        stacked = dense.partial_inner(state, vecs, first, k, width)
+        stacked = dense.partial_inner(state, vecs, first, k)
         assert stacked.shape == (rows, 2 ** (first - 1), 2 ** (width - first + 1 - k))
         for vec, amp in zip(vecs, stacked):
-            assert amp.tobytes() == dense.partial_inner(state, vec, first, k, width).tobytes()
+            assert amp.tobytes() == dense.partial_inner(state, vec, first, k).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(cut_circuits())
@@ -669,5 +674,5 @@ class TestLatticeBatches:
                 columns = data.draw(st.integers(1, max(1, len(requests))))
                 mp.setattr(estimator, "BLOCK_BYTES", columns * state_bytes)
                 paths = batched.children(requests)
-                assert paths == [lone.child(*request) for request in requests]
+                assert paths == [lone.children([request])[0] for request in requests]
         assert lattice_bytes(batched) == lattice_bytes(lone)

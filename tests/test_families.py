@@ -15,7 +15,6 @@ from wirecut.families import (
     _line_family,
     check_generators,
     expand_family,
-    extract_generators,
     generate_partition,
     gf_mul,
     gf_trace,
@@ -284,21 +283,10 @@ class TestFamilyConstruction:
 
 
 class TestGenerators:
-    def test_single_qubit(self):
-        assert extract_generators({PauliString.from_label("X")}) == [
-            PauliString.from_label("X")
-        ]
-
-    def test_known_two_qubit_basis(self):
-        members = {PauliString.from_label(s) for s in ("XI", "IX", "XX")}
-        gens = extract_generators(members)
-        assert expand_family(gens) == members
-        assert len(gens) == 2
-
     def test_yz_zx_family_closure(self):
-        members = {PauliString.from_label(s) for s in ("YZ", "ZX", "XY")}
-        gens = extract_generators(members)
-        assert expand_family(gens) == members
+        gens = [PauliString.from_label(s) for s in ("YZ", "ZX")]
+        members = expand_family(gens)
+        assert members == {PauliString.from_label(s) for s in ("YZ", "ZX", "XY")}
         # the third member is the (phase-dropped) product of the generators,
         # confirmed against the dense matrix product
         prod = multiply(gens[0], gens[1])
@@ -307,20 +295,7 @@ class TestGenerators:
             prod.to_dense(), to_dense(gens[0]) @ to_dense(gens[1]), atol=1e-12
         )
 
-    def test_round_trip_over_generated_families(self):
-        for n in (1, 2, 3):
-            for fam in generate_partition(n).families:
-                gens = extract_generators(fam.members)
-                assert expand_family(gens) == fam.members
-
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
-            extract_generators(set())
-        with pytest.raises(InvalidInputError):
-            # not a closed family
-            extract_generators(
-                {PauliString.from_label(s) for s in ("XI", "IX", "XZ")}
-            )
         with pytest.raises(InvalidInputError):
             # anticommuting pair cannot generate a family
             expand_family([PauliString.from_label("X"), PauliString.from_label("Z")])

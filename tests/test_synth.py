@@ -30,11 +30,9 @@ def symplectic_conjugate(gate, bits):
 
 
 def family_from_labels(*labels):
-    from wirecut.families import extract_generators
-
-    members = {PauliString.from_label(s) for s in labels}
-    gens = extract_generators(members)
-    return CommutingFamily(gens[0].n, tuple(gens))
+    """The family generated by the Pauli strings with these labels."""
+    gens = tuple(PauliString.from_label(s) for s in labels)
+    return CommutingFamily(gens[0].n, gens)
 
 
 class TestKnownCircuits:
