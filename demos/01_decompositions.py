@@ -16,8 +16,7 @@ from wirecut import (
     build_peng_1q,
     build_randomized_nq,
     build_teleport_nq,
-    identity_ptm,
-    rank_bound_check,
+    channel_count_bound,
     single_qubit_clifford_group,
     verify_decomposition,
 )
@@ -42,7 +41,7 @@ for name, n, d in builds:
     print(f"{name:<14}{n:>3}{int(d.gamma)**2:>9}{d.m:>5}   {residual:.2e}")
 
 print()
-print("channel-count lower bound (rank of the identity transfer matrix):")
+print("channel-count lower bound, ceil((4^n - 1) / (2^n - 1)):")
 for n in (1, 2, 3, 4):
-    bound = rank_bound_check(identity_ptm(n), n)
+    bound = channel_count_bound(n)
     print(f"  n={n}: bound {bound}, MUB decomposition uses exactly {2**n + 1}")

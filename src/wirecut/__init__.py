@@ -11,7 +11,6 @@ from .channels import (
     ChannelTerm,
     Decomposition,
     MPChannel,
-    TransferMatrix,
     build_decomposition,
     build_mub_default,
     build_mub_nq,
@@ -19,9 +18,7 @@ from .channels import (
     build_peng_1q,
     build_randomized_nq,
     build_teleport_nq,
-    identity_ptm,
     ptm,
-    rank_bound_check,
     single_qubit_clifford_group,
     verify_decomposition,
 )
@@ -29,6 +26,7 @@ from .costs import (
     GateCountRow,
     MethodRow,
     TimeModelParams,
+    channel_count_bound,
     gate_count_bench,
     multi_cut_overhead,
     overhead_table,

@@ -226,16 +226,9 @@ class Decomposition:
         return np.array([abs(float(c)) / g for c, _ in self.channels])
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """Real 4^n x 4^n matrix of a channel in the normalized Pauli basis."""
-
-    n: int
-    entries: np.ndarray
-
-
-def ptm(channel: MPChannel) -> TransferMatrix:
-    """Pauli transfer matrix S[k, l] = Tr[sigma_k E(sigma_l)].
+def ptm(channel: MPChannel) -> np.ndarray:
+    """Pauli transfer matrix S[k, l] = Tr[sigma_k E(sigma_l)], a real 4^n x 4^n
+    array in the normalized Pauli basis.
 
     For a measure-and-prepare channel this is a sum of outer products of
     the Pauli vectors of preps and effects.  Every term is hermitian, so the
@@ -250,11 +243,7 @@ def ptm(channel: MPChannel) -> TransferMatrix:
     effect_vecs, prep_vecs = pauli_vector(effects, n), pauli_vector(preps, n)
     for a, effect, prep in zip(channel.signs, effect_vecs, prep_vecs):
         out += a * np.outer(prep, effect)
-    return TransferMatrix(n, np.ascontiguousarray(out.real))
-
-
-def identity_ptm(n: int) -> TransferMatrix:
-    return TransferMatrix(n, np.eye(4**n))
+    return np.ascontiguousarray(out.real)
 
 
 def verify_decomposition(d: Decomposition) -> float:
@@ -287,18 +276,6 @@ def verify_decomposition(d: Decomposition) -> float:
     total = preps.T @ effects
     total[np.diag_indices_from(total)] -= 1.0
     return float(np.max(np.abs(total, out=total)))
-
-
-def rank_bound_check(target: TransferMatrix, n: int) -> int:
-    """Lower bound on the channel count of any ancilla-free decomposition.
-
-    ceil((rank - 1) / (2^n - 1)) with the numerical rank taken at singular
-    value tolerance 1e-8; at least 1.
-    """
-    svals = np.linalg.svd(target.entries, compute_uv=False)
-    rank = int(np.sum(svals > 1e-8))
-    bound = -(-(rank - 1) // (2**n - 1)) if n >= 1 else 1
-    return max(1, bound)
 
 
 # single-qubit states used by the 1-wire builders
@@ -418,7 +395,7 @@ def single_qubit_clifford_group() -> list[np.ndarray]:
                     seen[k] = canon(cand)
                     nxt.append(cand)
         frontier = nxt
-    group = sorted(seen.values(), key=lambda m: (np.round(m, 9) + 0.0).tobytes())
+    group = [seen[k] for k in sorted(seen)]
     if len(group) != 24:
         raise NumericFailureError("Clifford group closure failed")
     return group

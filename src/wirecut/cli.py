@@ -11,8 +11,11 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or resource errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from .channels import (
@@ -25,8 +28,6 @@ from .costs import (
     TimeModelParams,
     _CLOSED_FORMS,
     gate_count_bench,
-    gatecount_csv,
-    overhead_csv,
     overhead_table,
     predict_time,
 )
@@ -45,6 +46,15 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header line and one line per dataclass row, fields in order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(map(astuple, rows))
+    return buf.getvalue()
 
 
 def cmd_families(args) -> int:
@@ -122,7 +132,7 @@ def _decomposition_builder(method: str):
 def cmd_estimate(args) -> int:
     builder = _decomposition_builder(args.method)
     circuit, f = load_circuit(args.circuit)
-    cuts = load_cuts(args.cuts, builder)
+    cuts = load_cuts(args.cuts, circuit, builder)
     report = run_monte_carlo(circuit, cuts, f, args.shots, seed=args.seed)
     text = json.dumps(report.to_json(), sort_keys=True) + "\n"
     _write_text(text, args.out)
@@ -138,9 +148,10 @@ def cmd_exact(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.bench == "overhead":
-        _write_text(overhead_csv(overhead_table(args.nmax)), args.out)
+        _write_text(_csv(["method", "n", "gamma_sq", "m"], overhead_table(args.nmax)), args.out)
     elif args.bench == "gatecount":
-        _write_text(gatecount_csv(gate_count_bench(args.nmax)), args.out)
+        header = ["n", "NS_max", "NCZ_max", "Nall_max", "bound_CZ", "bound_all"]
+        _write_text(_csv(header, gate_count_bench(args.nmax)), args.out)
     else:  # timemodel
         params = TimeModelParams(args.m, args.shots, args.tc, args.tq)
         print(repr(predict_time(params)))
@@ -162,11 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("verify", help="verify a decomposition against closed forms")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["peng", "optimal1q", "mub", "randomized", "teleport"],
-    )
+    p.add_argument("--method", required=True, choices=list(BUILDERS))
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 

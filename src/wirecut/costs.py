@@ -2,14 +2,13 @@
 
 Covers the execution-time model T = T_C + T_Q (compilation is charged once
 per distinct channel, capped by the shot count), the sampling-overhead and
-channel-count tables for the four wire-cutting methods, and the maximum
-gate counts of the synthesized basis-change circuits versus their bounds.
+channel-count tables for the four wire-cutting methods, the ancilla-free
+channel-count lower bound, and the maximum gate counts of the synthesized
+basis-change circuits versus their bounds.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -53,10 +52,6 @@ class MethodRow:
     gamma_sq: int
     m: int
 
-    def __post_init__(self):
-        if self.gamma_sq <= 0 or self.m < 1:
-            raise InvalidInputError("invalid cost row")
-
 
 # method -> n -> (gamma, m) of an n-wire cut
 _CLOSED_FORMS = {
@@ -69,6 +64,15 @@ _CLOSED_FORMS = {
 _CLOSED_FORMS["optimal1q"] = _CLOSED_FORMS["mub"]  # the single-wire alias of mub
 
 METHOD_ORDER = ("peng", "randomized", "mub", "teleport")
+
+
+def channel_count_bound(n: int) -> int:
+    """Lower bound on the channel count of any ancilla-free decomposition of
+    the n-wire identity: ceil((rank - 1) / (2^n - 1)) for the identity
+    transfer matrix, of rank 4^n, which is 2^n + 1."""
+    if n < 1:
+        raise InvalidInputError(f"the cut width must be at least 1, got {n}")
+    return -(-(4**n - 1) // (2**n - 1))
 
 
 def overhead_table(n_max: int) -> list[MethodRow]:
@@ -121,21 +125,3 @@ def gate_count_bench(n_max: int) -> list[GateCountRow]:
         bound_cz = n * (n - 1) // 2
         rows.append(GateCountRow(n, n_s, n_cz, n_all, bound_cz, 2 * n + bound_cz))
     return rows
-
-
-def overhead_csv(rows: list[MethodRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "n", "gamma_sq", "m"])
-    for r in rows:
-        writer.writerow([r.method, r.n, r.gamma_sq, r.m])
-    return buf.getvalue()
-
-
-def gatecount_csv(rows: list[GateCountRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "NS_max", "NCZ_max", "Nall_max", "bound_CZ", "bound_all"])
-    for r in rows:
-        writer.writerow([r.n, r.n_s_max, r.n_cz_max, r.n_all_max, r.bound_cz, r.bound_all])
-    return buf.getvalue()

@@ -79,12 +79,12 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     return out
 
 
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
     dim = mat.shape[0]
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) < tol)
+    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) < 1e-10)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,6 @@ blocks are allocated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -462,37 +461,31 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
     if not cuts.locations:
         return exact_expectation(circuit, f)
     engine = _CutEngine(circuit, cuts, f)
-
-    def walk(path: tuple, depth: int) -> float:
-        if depth == len(engine.locations):
-            _, probs = engine.final_dist(path)
-            return float(np.dot(probs, f.table))
-        loc = engine.locations[depth]
+    # each level's paths, with the product of the signed probabilities along each
+    paths, weights = [()], [1.0]
+    for loc in engine.locations:
         chan_probs = np.diff(loc.channel_cum, prepend=0.0)
-        requests, weights = [], []
-        for c, ch in enumerate(loc.channels):
-            cum, amps = engine.outcomes(path, c)
-            out_probs = np.diff(cum, prepend=0.0)
-            for o, amp in enumerate(amps):
-                # rounding in the cumulative table can leave a sliver of mass on
-                # an outcome whose conditioned state is zero; it contributes nothing
-                if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
-                    continue
-                for p in np.flatnonzero(ch.prep_probs[o]).tolist():
-                    requests.append((path, c, o, p))
-                    weights.append(
-                        chan_probs[c]
-                        * loc.signs[c]
-                        * ch.signs[o]
-                        * out_probs[o]
-                        * ch.prep_probs[o, p]
-                    )
-        total = 0.0
-        for child, weight in zip(engine.children(requests), weights):
-            total += weight * walk(child, depth + 1)
-        return total
-
-    return engine.gamma_total * walk((), 0)
+        requests, next_weights = [], []
+        for path, weight in zip(paths, weights):
+            for c, ch in enumerate(loc.channels):
+                w_chan = weight * chan_probs[c] * loc.signs[c]
+                cum, amps = engine.outcomes(path, c)
+                out_probs = np.diff(cum, prepend=0.0)
+                for o, amp in enumerate(amps):
+                    # rounding in the cumulative table can leave a sliver of mass on
+                    # an outcome whose conditioned state is zero; it contributes nothing
+                    if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
+                        continue
+                    w_out = w_chan * ch.signs[o] * out_probs[o]
+                    for p in np.flatnonzero(ch.prep_probs[o]).tolist():
+                        requests.append((path, c, o, p))
+                        next_weights.append(w_out * ch.prep_probs[o, p])
+        paths, weights = engine.children(requests), next_weights
+    # a plain loop, not sum(): Python 3.12's float sum compensates rounding
+    total = 0.0
+    for path, weight in zip(paths, weights):
+        total += weight * float(np.dot(engine.final_dist(path)[1], f.table))
+    return engine.gamma_total * total
 
 
 def demo_circuit(
@@ -582,22 +575,29 @@ def load_circuit(path) -> tuple[LayeredCircuit, PostProcess]:
     return _load_json(path, circuit_from_json)
 
 
-def save_circuit(circuit: LayeredCircuit, f: PostProcess, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_json(circuit, f), fh)
+def cuts_from_json(
+    data: dict, circuit: LayeredCircuit, builder: Callable[[int], Decomposition]
+) -> CutSpec:
+    """Attach decompositions (per wire-set width) to the JSON cut locations.
 
-
-def cuts_from_json(data: dict, builder: Callable[[int], Decomposition]) -> CutSpec:
-    """Attach decompositions (per wire-set width) to the JSON cut locations."""
-    locations = []
+    Every location's wires and layer are checked against `circuit` before
+    the builder is called for any of them.
+    """
+    parsed = []
     for i, entry in enumerate(_list_field(data, "locations", "")):
         where = f"locations[{i}]."
         wires = _range_field(entry, "wires", where)
+        if wires[-1] > circuit.width:
+            raise InvalidInputError(f"field {where}wires must lie in [1, {circuit.width}]")
         after_layer = _int_field(entry, "after_layer", where)
-        locations.append(CutLocation(after_layer, wires[0], builder(len(wires))))
-    locations.sort(key=lambda loc: (loc.after_layer, loc.first_wire))
+        if not 0 <= after_layer <= len(circuit.layers):
+            raise InvalidInputError(
+                f"field {where}after_layer must lie in [0, {len(circuit.layers)}]"
+            )
+        parsed.append((after_layer, wires[0], len(wires)))
+    locations = [CutLocation(layer, first, builder(k)) for layer, first, k in sorted(parsed)]
     return CutSpec(tuple(locations))
 
 
-def load_cuts(path, builder: Callable[[int], Decomposition]) -> CutSpec:
-    return _load_json(path, lambda data: cuts_from_json(data, builder))
+def load_cuts(path, circuit: LayeredCircuit, builder: Callable[[int], Decomposition]) -> CutSpec:
+    return _load_json(path, lambda data: cuts_from_json(data, circuit, builder))

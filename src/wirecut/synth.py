@@ -19,9 +19,7 @@ import numpy as np
 from . import dense
 from .errors import InvalidInputError, ResourceLimitError, SynthesisError
 from .families import CommutingFamily
-from .pauli import PauliString, gf2_basis, to_dense
-
-MAX_DENSE_VERIFY_QUBITS = 10
+from .pauli import MAX_DENSE_QUBITS, PauliString, gf2_basis, to_dense
 
 _ARITY = {"H": 1, "SDG": 1, "CZ": 2}
 GATE_NAMES = tuple(_ARITY)
@@ -239,10 +237,8 @@ def synthesize(family: CommutingFamily, optimize_depth: bool = True) -> Clifford
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     """Dense matrix of the circuit (layers applied left to right in time)."""
-    if circuit.n > MAX_DENSE_VERIFY_QUBITS:
-        raise ResourceLimitError(
-            f"dense circuit realization capped at {MAX_DENSE_VERIFY_QUBITS} qubits"
-        )
+    if circuit.n > MAX_DENSE_QUBITS:
+        raise ResourceLimitError(f"dense circuit realization capped at {MAX_DENSE_QUBITS} qubits")
     dim = 2**circuit.n
     mat = np.eye(dim, dtype=complex)
     for g in circuit.gates:
@@ -255,8 +251,9 @@ def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     return mat
 
 
-def _is_signed_z_diagonal(mat: np.ndarray, n: int, tol: float = 1e-10) -> bool:
-    """True iff mat equals +-D for some D in {I,Z}^n, entrywise within tol."""
+def _is_signed_z_diagonal(mat: np.ndarray, n: int) -> bool:
+    """True iff mat equals +-D for some D in {I,Z}^n, entrywise within 1e-10."""
+    tol = 1e-10
     dim = 2**n
     off = mat - np.diag(np.diagonal(mat))
     if np.max(np.abs(off)) > tol:
@@ -277,7 +274,7 @@ def _is_signed_z_diagonal(mat: np.ndarray, n: int, tol: float = 1e-10) -> bool:
 
 def verify_diagonalizes(circuit: CliffordCircuit, family: CommutingFamily) -> bool:
     """Dense check: U^dagger P U is a signed {I,Z} string for every member."""
-    if family.n > MAX_DENSE_VERIFY_QUBITS:
+    if family.n > MAX_DENSE_QUBITS:
         raise ResourceLimitError("dense verification capped; use the symplectic check")
     if circuit.n != family.n:
         return False

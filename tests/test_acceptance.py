@@ -18,13 +18,12 @@ from wirecut.channels import (
     build_peng_1q,
     build_randomized_nq,
     build_teleport_nq,
-    identity_ptm,
-    rank_bound_check,
     single_qubit_clifford_group,
     verify_decomposition,
 )
 from wirecut.costs import (
     TimeModelParams,
+    channel_count_bound,
     multi_cut_overhead,
     overhead_table,
     predict_time,
@@ -98,7 +97,7 @@ def test_criterion_2_double_optimality_numbers():
     for n in (1, 2, 3, 4):
         want = (4**n - 1) // (2**n - 1)
         assert build_mub_default(n).m == want
-        assert rank_bound_check(identity_ptm(n), n) == want
+        assert channel_count_bound(n) == want
     print("[PASS] criterion 2: gamma^2/m integers and rank-bound saturation exact")
 
 

@@ -25,12 +25,11 @@ from wirecut.channels import (
     build_teleport_nq,
     decomposition_from_json,
     decomposition_to_json,
-    identity_ptm,
     ptm,
-    rank_bound_check,
     single_qubit_clifford_group,
     verify_decomposition,
 )
+from wirecut.costs import channel_count_bound
 from wirecut.dense import basis_state, haar_unitary
 from wirecut.errors import (
     DesignViolationError,
@@ -49,10 +48,18 @@ PLUS = np.array([1, 1]) / np.sqrt(2)
 MINUS = np.array([1, -1]) / np.sqrt(2)
 
 
+def rank_bound(transfer, n):
+    """Oracle for channel_count_bound: ceil((rank - 1) / (2^n - 1)) with the
+    numerical rank of a transfer matrix at singular value tolerance 1e-8;
+    at least 1."""
+    rank = int(np.sum(np.linalg.svd(transfer, compute_uv=False) > 1e-8))
+    return max(1, -(-(rank - 1) // (2**n - 1)))
+
+
 class TestPtm:
     def test_optimal_decomposition_sums_to_identity_matrix(self):
         d = build_optimal_1q()
-        total = sum(float(c) * ptm(ch).entries for c, ch in d.channels)
+        total = sum(float(c) * ptm(ch) for c, ch in d.channels)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
     def test_x_measure_plus_prepare_pattern(self):
@@ -63,7 +70,7 @@ class TestPtm:
                 ChannelTerm(-1, projector(MINUS), projector(PLUS)),
             ),
         )
-        mat = ptm(ch).entries
+        mat = ptm(ch)
         expected = np.zeros((4, 4))
         expected[0, 1] = 1.0  # I-row hits the X column
         expected[1, 1] = 1.0  # X-row hits the X column
@@ -80,7 +87,7 @@ class TestPtm:
                 for j in range(2)
             ),
         )
-        row = ptm(ch).entries[0]
+        row = ptm(ch)[0]
         np.testing.assert_allclose(row, [1, 0, 0, 0], atol=1e-12)
 
     def test_resource_guard(self):
@@ -93,7 +100,7 @@ class TestPtm:
 
 def _reference_residual(d):
     """max |sum c PTM - I| through the sum-of-outer-products ptm()."""
-    total = sum(float(c) * ptm(ch).entries for c, ch in d.channels)
+    total = sum(float(c) * ptm(ch) for c, ch in d.channels)
     return float(np.max(np.abs(total - np.eye(4**d.n))))
 
 
@@ -143,8 +150,8 @@ class TestVerifyDecomposition:
         )
         effects, _ = ch.dense_terms()
         assert np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) < 1e-15
-        assert np.max(np.abs(ptm(ch).entries - ptm(MPChannel.from_terms(
-            1, (ChannelTerm(1, k0, k0), ChannelTerm(1, k1, k1)))).entries)) < 1e-10
+        assert np.max(np.abs(ptm(ch) - ptm(MPChannel.from_terms(
+            1, (ChannelTerm(1, k0, k0), ChannelTerm(1, k1, k1)))))) < 1e-10
 
 
 class TestPeng:
@@ -197,7 +204,7 @@ class TestMub:
 
         def channel_key(pair):
             c, ch = pair
-            return (float(c), np.round(ptm(ch).entries, 9).tobytes())
+            return (float(c), np.round(ptm(ch), 9).tobytes())
 
         assert sorted(map(channel_key, mub.channels)) == sorted(
             map(channel_key, opt.channels)
@@ -206,7 +213,8 @@ class TestMub:
     def test_saturates_rank_bound(self):
         for n in (1, 2, 3):
             d = build_mub_default(n)
-            assert d.m == rank_bound_check(identity_ptm(n), n)
+            total = sum(float(c) * ptm(ch) for c, ch in d.channels)
+            assert d.m == rank_bound(total, n) == channel_count_bound(n)
 
     def test_rejects_unverified_circuits(self):
         part = generate_partition(2)
@@ -269,17 +277,26 @@ class TestTeleport:
 
 class TestRankBound:
     def test_identity_bounds(self):
-        assert rank_bound_check(identity_ptm(1), 1) == 3
-        assert rank_bound_check(identity_ptm(2), 2) == 5
+        for n in (1, 2, 3):
+            assert channel_count_bound(n) == rank_bound(np.eye(4**n), n)
+        assert [channel_count_bound(n) for n in range(1, 13)] == [
+            2**n + 1 for n in range(1, 13)
+        ]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_width_below_one(self, n):
+        with pytest.raises(InvalidInputError, match=f"at least 1, got {n}"):
+            channel_count_bound(n)
 
     def test_rank_one_channel(self):
         # replacement channel rho -> Tr[rho] |0><0| has a rank-1 transfer matrix
-        from wirecut.channels import TransferMatrix
-        from wirecut.pauli import pauli_vector
-
-        prep = projector(basis_state(0, 2))
-        mat = np.outer(pauli_vector(prep, 1), [np.sqrt(2), 0, 0, 0])
-        assert rank_bound_check(TransferMatrix(1, mat.real), 1) == 1
+        k0, k1 = basis_state(0, 2), basis_state(1, 2)
+        prep = projector(k0)
+        ch = MPChannel.from_terms(
+            1, (ChannelTerm(1, projector(k0), prep), ChannelTerm(1, projector(k1), prep))
+        )
+        assert np.linalg.matrix_rank(ptm(ch)) == 1
+        assert rank_bound(ptm(ch), 1) == 1
 
 
 ZERO = projector(basis_state(0, 2))

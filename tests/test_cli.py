@@ -329,6 +329,13 @@ MALFORMED = {
     "wires_missing": (*_location(lambda c: c.pop("wires")), "locations[0].wires"),
     "wires_empty": (*_location(lambda c: c.update(wires=[])), "locations[0].wires"),
     "wires_below_one": (*_location(lambda c: c.update(wires=[0])), "locations[0].wires"),
+    "wires_past_width": (*_location(lambda c: c.update(wires=[4])), "locations[0].wires"),
+    "after_layer_negative": (
+        *_location(lambda c: c.update(after_layer=-1)), "locations[0].after_layer"
+    ),
+    "after_layer_past_end": (
+        *_location(lambda c: c.update(after_layer=3)), "locations[0].after_layer"
+    ),
     "qubits_below_one": (*_layer(0, lambda l: l.update(qubits=[0, 1])), "layers[0].qubits"),
     "decomposition_truncated": (
         "decomposition", _decomposition(lambda d: None)[1][:200], "not valid JSON"

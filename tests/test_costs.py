@@ -6,12 +6,11 @@ from wirecut.costs import (
     GateCountRow,
     TimeModelParams,
     gate_count_bench,
-    gatecount_csv,
     multi_cut_overhead,
-    overhead_csv,
     overhead_table,
     predict_time,
 )
+from wirecut.cli import main
 from wirecut.errors import InvalidInputError, ResourceLimitError
 
 
@@ -153,14 +152,18 @@ class TestGateCountBench:
 
 
 class TestCsv:
-    def test_overhead_csv_shape(self):
-        text = overhead_csv(overhead_table(2))
-        lines = text.strip().splitlines()
-        assert lines[0] == "method,n,gamma_sq,m"
-        assert len(lines) == 9
+    """The `wirecut bench` tables: a header, then one CRLF-ended line per row."""
 
-    def test_gatecount_csv_shape(self):
-        text = gatecount_csv(gate_count_bench(2))
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,NS_max,NCZ_max,Nall_max,bound_CZ,bound_all"
-        assert len(lines) == 3
+    def bench(self, capsys, table):
+        assert main(["bench", table, "--nmax", "2"]) == 0
+        return capsys.readouterr().out
+
+    def test_overhead_csv_shape(self, capsys):
+        lines = self.bench(capsys, "overhead").split("\r\n")
+        assert lines[:2] == ["method,n,gamma_sq,m", "peng,1,16,8"]
+        assert len(lines) == 10 and lines[-1] == ""
+
+    def test_gatecount_csv_shape(self, capsys):
+        lines = self.bench(capsys, "gatecount").split("\r\n")
+        header = "n,NS_max,NCZ_max,Nall_max,bound_CZ,bound_all"
+        assert lines == [header, "1,1,0,2,0,2", "2,2,1,4,1,5", ""]

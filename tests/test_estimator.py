@@ -449,6 +449,68 @@ def haar_circuits(draw, max_width=4):
     return LayeredCircuit(width, tuple(layers))
 
 
+def basis_cut(k):
+    """A one-channel stand-in for a k-wire cut: measure and re-prepare the basis."""
+    basis = np.eye(2**k)
+    channel = MPChannel(k, np.ones(2**k), basis, np.ones((2**k, 1)), basis[:, None])
+    return Decomposition(k, ((1.0, channel),), "stub")
+
+
+STUB_CUTS = {k: basis_cut(k) for k in range(1, 5)}
+
+
+@st.composite
+def cut_documents(draw):
+    """A haar_circuits() circuit and a cut file for it whose locations lie in
+    range and do not overlap, with the (after_layer, first wire, wire count)
+    of each location in file order."""
+    circuit = draw(haar_circuits())
+    locations = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(1, circuit.width))
+        k = draw(st.integers(1, circuit.width - first + 1))
+        locations.append((draw(st.integers(0, len(circuit.layers))), first, k))
+    ordered = sorted(locations)
+    for a, b in zip(ordered, ordered[1:]):
+        assume(a[0] != b[0] or a[1] + a[2] <= b[1])
+    entries = [{"after_layer": a, "wires": list(range(w, w + k))} for a, w, k in locations]
+    return circuit, {"locations": entries}, locations
+
+
+class TestCutDocuments:
+    @settings(max_examples=50, deadline=None)
+    @given(cut_documents())
+    def test_valid_document_parses(self, case):
+        circuit, doc, locations = case
+        spec = cuts_from_json(json.loads(json.dumps(doc)), circuit, STUB_CUTS.__getitem__)
+        got = [(loc.after_layer, loc.first_wire, loc.decomposition) for loc in spec.locations]
+        assert got == [(a, w, STUB_CUTS[k]) for a, w, k in sorted(locations)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(cut_documents(), st.sampled_from(["wires", "after_layer"]), st.data())
+    def test_out_of_range_is_named_before_any_build(self, case, field, data):
+        circuit, doc, locations = case
+        i = data.draw(st.integers(0, len(locations) - 1))
+        if field == "wires":
+            first = data.draw(st.integers(1, circuit.width + 2))
+            last = data.draw(st.integers(max(first, circuit.width + 1), circuit.width + 4))
+            doc["locations"][i]["wires"] = list(range(first, last + 1))
+        else:
+            doc["locations"][i]["after_layer"] = data.draw(
+                st.integers(max_value=-1) | st.integers(min_value=len(circuit.layers) + 1)
+            )
+        calls = []
+
+        def builder(k):
+            calls.append(k)
+            return STUB_CUTS[k]
+
+        named = rf"field locations\[{i}\]\.{field} must lie in"
+        with pytest.raises(InvalidInputError, match=named):
+            cuts_from_json(doc, circuit, builder)
+        assert calls == []
+
+
 class TestJsonForms:
     @settings(max_examples=50, deadline=None)
     @given(haar_circuits(), st.sampled_from(["parity", "bit", "table"]), st.data())
@@ -489,12 +551,14 @@ class TestJsonForms:
     def test_cuts_from_json(self):
         spec = cuts_from_json(
             {"locations": [{"after_layer": 1, "wires": [2]}]},
+            demo_circuit(),
             lambda n: build_optimal_1q(),
         )
         assert spec.locations[0].first_wire == 2
         with pytest.raises(InvalidInputError):
             cuts_from_json(
                 {"locations": [{"after_layer": 0, "wires": [1, 3]}]},
+                demo_circuit(),
                 lambda n: build_optimal_1q(),
             )
 
@@ -607,6 +671,26 @@ def lattice_bytes(engine):
 
 class TestLatticeBatches:
     """A level's new nodes are built as blocks; block size changes no bit."""
+
+    def test_enumeration_builds_one_level_per_call(self, monkeypatch):
+        """The enumerator asks for each cut level's nodes in one children()
+        call and builds the lattice level_requests() reaches."""
+        case = deep_three_cut_case()
+        reference = estimator._CutEngine(*case)
+        paths = [()]
+        for depth in range(3):
+            paths = reference.children(level_requests(reference, paths, depth))
+        calls, children = [], estimator._CutEngine.children
+
+        def counted(engine, requests):
+            calls.append((engine, len(requests)))
+            return children(engine, requests)
+
+        monkeypatch.setattr(estimator._CutEngine, "children", counted)
+        mean = enumerate_estimator_mean(*case)
+        assert [size for _, size in calls] == [6, 36, 36 * 28]
+        assert lattice_bytes(calls[0][0]) == lattice_bytes(reference)
+        assert abs(mean - exact_expectation(case[0], case[2])) < 1e-10
 
     @pytest.mark.parametrize("budget", [1, 16 * 2**6, 3 * 16 * 2**6])
     def test_block_budget_changes_nothing(self, monkeypatch, budget):
