@@ -197,6 +197,23 @@ class TestExactAndEstimate:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_two_wire_cut_demo_bytes(self, capsys):
+        """A 2-wire mub cut of the GHZ demo prints these bytes."""
+        code, out, _ = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / "demo_ghz.json"),
+            "--cuts", str(DEMOS / "demo_cut_2wire.json"),
+            "--method", "mub",
+            "--shots", "100000",
+            "--seed", "0",
+        )
+        assert code == 0
+        assert out == (
+            '{"estimate": 0.46277, "gamma_total": 7.0, "seed": 0, "shots": 100000, '
+            '"std_error": 0.015609598837470444, "tallies": [[14174, 14154, 14344, 14247, 43081]]}\n'
+        )
+
     def test_estimate_width_mismatch_from_file(self, capsys, tmp_path):
         from wirecut.channels import build_mub_default, save_decomposition
 

@@ -218,9 +218,20 @@ def deep_three_cut_case():
     return LayeredCircuit(6, layers), cuts, PostProcess.parity(6)
 
 
+def wide_mub_case():
+    """8 qubits, 14 fixed Haar layers in brickwork, a four-wire mub cut on
+    wires 3-6 after layer 4 and a two-wire mub cut on wires 2-3 after layer 10."""
+    rng = np.random.default_rng(21)
+    layers = tuple(CircuitLayer(q, dense.haar_unitary(4, rng)) for q in (1, 3, 5, 7, 2, 4, 6) * 2)
+    cuts = CutSpec(
+        (CutLocation(4, 3, build_mub_default(4)), CutLocation(10, 2, build_mub_default(2)))
+    )
+    return LayeredCircuit(8, layers), cuts, PostProcess.parity(8)
+
+
 class TestGoldenEstimates:
-    """Reports pinned bit for bit; both shot counts span several chunks and
-    end in a partial one."""
+    """Reports pinned bit for bit; the shot counts above CHUNK_SHOTS span
+    several chunks and end in a partial one."""
 
     def test_demo_optimal1q(self):
         rep = run_monte_carlo(
@@ -238,6 +249,16 @@ class TestGoldenEstimates:
             (23144, 23484, 23372),
             (23342, 23574, 23084),
             (9975, 10011, 10047, 9958, 30009),
+        )
+
+    def test_wide_mub_cuts(self):
+        """17 channels of 16 outcomes, up to 15 preps each, then 5 of 4."""
+        rep = run_monte_carlo(*wide_mub_case(), 20_000, seed=13)
+        assert rep.estimate == 1.1718
+        assert rep.std_error == 1.5344377045652455
+        assert rep.tallies == (
+            (637, 644, 654, 643, 681, 584, 640, 666, 633, 646, 627, 581, 607, 681, 644, 692, 9740),
+            (2826, 2945, 2868, 2834, 8527),
         )
 
     def test_chunk_size_does_not_change_the_report(self, monkeypatch):
