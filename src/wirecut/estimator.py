@@ -18,12 +18,17 @@ per cut location, then the terminal outcome) from a Philox generator keyed
 by the seed.  The rows are drawn in chunks of CHUNK_SHOTS; successive
 draws continue one counter stream, so a chunk holds exactly the rows a
 single shots x (3L + 1) draw would, and memory stays flat in the shot
-count.  Within a chunk, each cut level regroups its shots by one sort on
-the packed key (lattice node, channel): one pass per group draws outcomes
-and preps from that node's cached distributions and maps each distinct
-(outcome, prep) to its child node.  A last grouping by leaf node draws the
-terminal outcomes.  A shot's value depends only on its own
-uniforms, so results are reproducible and independent of the chunk size.
+count.  Within a chunk, each cut level is a fixed number of array passes
+over all its shots: the (lattice node, channel) keys are ranked by counting,
+not sorting; the cached outcome tables of the distinct keys are stacked; and
+every draw is the count of table entries <= its uniform, as from
+searchsorted(side="right"), by one branch-free binary search over all shots.
+The child nodes are numbered by ranking (key, outcome) and then (pair,
+prep), so no count array exceeds CHUNK_SHOTS x max(channels, outcomes,
+preps) bins.  The terminal draw counts in the stacked cumulative tables of
+the chunk's leaves, leaves x 2^W doubles.  A shot's value depends only on
+its own uniforms, so results are reproducible and independent of the chunk
+size.
 
 The lattice of distinct intermediate states is built one cut level at a
 time: the level's missing child nodes are stacked as the columns of
@@ -223,7 +228,9 @@ def _prep_cums(probs: np.ndarray) -> np.ndarray:
 
 class _RealizedLocation:
     """Sampling tables for one cut location, state-independent parts: the
-    channel table, and per channel its MPChannel and cumulative prep table."""
+    channel table, the MPChannels, and two tables padded to (m, O, P) and
+    (m, O) over the m channels, O outcomes and P preps: the cumulative prep
+    weights (padding 1.0, never counted) and channel sign x outcome sign."""
 
     def __init__(self, loc: CutLocation, width: int):
         d = loc.decomposition
@@ -235,7 +242,12 @@ class _RealizedLocation:
         self.channel_cum[-1] = 1.0
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
         self.channels = [ch for _, ch in d.channels]
-        self.prep_cums = [_prep_cums(ch.prep_probs) for ch in self.channels]
+        shapes = [ch.prep_probs.shape for ch in self.channels]
+        self.prep_cum = np.ones((len(shapes), *np.max(shapes, axis=0)))
+        self.factors = np.zeros(self.prep_cum.shape[:2])
+        for c, (ch, (o, p)) in enumerate(zip(self.channels, shapes)):
+            self.prep_cum[c, :o, :p] = _prep_cums(ch.prep_probs)
+            self.factors[c, :o] = self.signs[c] * ch.signs
 
 
 class _CutEngine:
@@ -345,18 +357,26 @@ class _CutEngine:
         return out
 
 
-def _groups(keys: np.ndarray):
-    """(key, rows) per distinct key, ascending, from one sort of `keys`.
+def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `keys` (all in [0, size)), ascending, and each
+    key's index among them: np.unique(keys, return_inverse=True), counted
+    in `size` bins rather than sorted."""
+    present = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
-    The order of rows within a group is arbitrary: a shot's result depends
-    only on its own uniforms, and the unstable sort is the fast one.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    ends = np.append(starts[1:], len(keys))
-    for key, lo, hi in zip(ordered[starts].tolist(), starts.tolist(), ends.tolist()):
-        yield key, order[lo:hi]
+
+def _count_le(tables: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each i, the number of entries <= u[i] in the non-decreasing row
+    tables[rows[i]], which is searchsorted(side="right").  A branch-free
+    binary search for all i at once: ceil(log2(width)) + 1 gathers."""
+    flat, size = tables.ravel(), tables.shape[1]
+    start = rows * size
+    base = start.copy()
+    while size > 1:
+        half = size // 2
+        base += half * (flat[base + half] <= u)
+        size -= half
+    return base - start + (flat[base] <= u)
 
 
 def _sample_chunk(
@@ -365,47 +385,39 @@ def _sample_chunk(
     """Signs and terminal outcomes of the shots whose uniform rows are `u`.
 
     Adds each location's channel counts to `tallies`.  Node ids index this
-    chunk's per-level path list, so the packed (node, channel) key stays
-    below chunk size x channel count.
+    chunk's per-level path list.  Each level ranks (node, channel), then
+    (row, outcome), then (row2, prep), so it asks for its children in
+    ascending (node, channel, outcome, prep) order and no bincount has more
+    than len(u) x max(m, O, P) bins, (m, O, P) being the prep table's shape.
     """
     k = len(u)
     nodes = np.zeros(k, dtype=np.int64)
     paths: list[tuple] = [()]
     signs = np.ones(k)
     # Every cumulative table ends at exactly 1.0 and the uniforms are < 1, so
-    # searchsorted(side="right") never returns the table length.
+    # no count reaches a row's length, nor any padding.
     for l_idx, loc in enumerate(engine.locations):
-        u_out, u_prep = u[:, 3 * l_idx + 1], u[:, 3 * l_idx + 2]
-        m = len(loc.signs)
+        m, n_out, n_prep = loc.prep_cum.shape
         chan = np.searchsorted(loc.channel_cum, u[:, 3 * l_idx], side="right")
         tallies[l_idx] += np.bincount(chan, minlength=m)
-        factors = np.empty(k)
-        children = np.empty(k, dtype=np.int64)
-        requests: list[tuple[tuple, int, int, int]] = []
-        for key, rows in _groups(nodes * m + chan):
-            path, c = paths[key // m], key % m
-            cum, _ = engine.outcomes(path, c)
-            out = np.searchsorted(cum, u_out[rows], side="right")
-            # each shot counts its outcome's table entries <= u, which is what
-            # searchsorted(side="right") returns; the 1.0 tail never counts
-            cums = loc.prep_cums[c]
-            prep = (u_prep[rows, None] >= cums[out]).sum(axis=1)
-            factors[rows] = loc.signs[c] * loc.channels[c].signs[out]
-            # (outcome, prep) packs into an index of this channel's prep table,
-            # so counting the packed values numbers the distinct pairs in order
-            width = cums.shape[1]
-            packed = out * width + prep
-            present = np.bincount(packed, minlength=cums.size) > 0
-            children[rows] = len(requests) + (np.cumsum(present) - 1)[packed]
-            for pair in np.flatnonzero(present).tolist():
-                requests.append((path, c, *divmod(pair, width)))
-        signs *= factors
-        nodes, paths = children, engine.children(requests)
-    y = np.empty(k, dtype=np.int64)
-    for node, rows in _groups(nodes):
-        cum, _ = engine.final_dist(paths[node])
-        y[rows] = np.searchsorted(cum, u[rows, -1], side="right")
-    return signs, y
+        keys, row = _rank(nodes * m + chan, len(paths) * m)
+        cums = np.ones((len(keys), n_out))
+        for i, key in enumerate(keys.tolist()):
+            cum = engine.outcomes(paths[key // m], key % m)[0]
+            cums[i, : len(cum)] = cum
+        out = _count_le(cums, row, u[:, 3 * l_idx + 1])
+        prep_rows = loc.prep_cum.reshape(m * n_out, n_prep)
+        prep = _count_le(prep_rows, chan * n_out + out, u[:, 3 * l_idx + 2])
+        signs *= loc.factors[chan, out]
+        pairs, row2 = _rank(row * n_out + out, len(keys) * n_out)
+        found, nodes = _rank(row2 * n_prep + prep, len(pairs) * n_prep)
+        pair = pairs[found // n_prep]
+        parent = keys[pair // n_out]
+        columns = (parent // m, parent % m, pair % n_out, found % n_prep)
+        requests = zip(*(a.tolist() for a in columns))
+        paths = engine.children([(paths[n], c, o, p) for n, c, o, p in requests])
+    leaves = np.stack([engine.final_dist(path)[0] for path in paths])
+    return signs, _count_le(leaves, nodes, u[:, -1])
 
 
 def run_monte_carlo(
@@ -581,7 +593,8 @@ def cuts_from_json(
     """Attach decompositions (per wire-set width) to the JSON cut locations.
 
     Every location's wires and layer are checked against `circuit` before
-    the builder is called for any of them.
+    the builder is called for any of them; it is called once per distinct
+    width, and the locations of one width share its decomposition.
     """
     parsed = []
     for i, entry in enumerate(_list_field(data, "locations", "")):
@@ -595,7 +608,9 @@ def cuts_from_json(
                 f"field {where}after_layer must lie in [0, {len(circuit.layers)}]"
             )
         parsed.append((after_layer, wires[0], len(wires)))
-    locations = [CutLocation(layer, first, builder(k)) for layer, first, k in sorted(parsed)]
+    parsed.sort()
+    built = {k: builder(k) for k in dict.fromkeys(k for _, _, k in parsed)}
+    locations = [CutLocation(layer, first, built[k]) for layer, first, k in parsed]
     return CutSpec(tuple(locations))
 
 

@@ -85,19 +85,23 @@ class TestSamplePrep:
         for vec in ch.preps[1]:
             assert np.count_nonzero(vec) == 1 and np.max(np.abs(vec)) == 1.0
         np.testing.assert_allclose(ch.prep_probs[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
-        np.testing.assert_allclose(loc.prep_cums[-1][1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
+        np.testing.assert_allclose(loc.prep_cum[-1, 1], [1 / 3, 2 / 3, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "method, n", [("peng", 1), ("randomized", 1), ("teleport", 2), ("mub", 3)]
     )
     def test_prep_tables_end_at_exactly_one(self, method, n):
         """Each outcome's prep row is exactly 1.0 from its last positive
-        weight on, so a uniform in [0, 1) never draws a state past it."""
+        weight on, and so is the padding of the location's (m, O, P) table,
+        so a uniform in [0, 1) never draws a state past it."""
         loc = estimator._RealizedLocation(CutLocation(0, 1, build_decomposition(method, n)), n)
-        for ch, cums in zip(loc.channels, loc.prep_cums):
+        for ch, table in zip(loc.channels, loc.prep_cum):
+            o, p = ch.prep_probs.shape
+            cums = table[:o, :p]
             cols = np.arange(cums.shape[1])
             last = np.array([np.flatnonzero(w)[-1] for w in ch.prep_probs])
             assert np.all((cums == 1.0) == (cols >= last[:, None]))
+            assert np.all(table[o:] == 1.0) and np.all(table[:, p:] == 1.0)
 
     @pytest.mark.parametrize(
         "method, n", [("peng", 1), ("randomized", 1), ("teleport", 2), ("mub", 3)]
@@ -306,7 +310,7 @@ class TestUnbiasedness:
     def test_padded_prep_ensembles(self):
         d = split_depolarizing()
         loc = estimator._RealizedLocation(CutLocation(1, 2, d), 3)
-        np.testing.assert_array_equal(loc.prep_cums[-1], [[0.5, 0.5, 1.0], [0.5, 1.0, 1.0]])
+        np.testing.assert_array_equal(loc.prep_cum[-1], [[0.5, 0.5, 1.0], [0.5, 1.0, 1.0]])
         rng = np.random.default_rng(5)
         layers = tuple(CircuitLayer(1, dense.haar_unitary(8, rng)) for _ in range(2))
         circ, f = LayeredCircuit(3, layers), PostProcess.parity(3)
@@ -530,6 +534,62 @@ class TestCutDocuments:
         with pytest.raises(InvalidInputError, match=named):
             cuts_from_json(doc, circuit, builder)
         assert calls == []
+
+
+    def test_builder_runs_once_per_width(self):
+        """Two 2-wire locations and one 1-wire location build two
+        decompositions, and the 2-wire locations share theirs."""
+        doc = {
+            "locations": [
+                {"after_layer": 0, "wires": [4, 5]},
+                {"after_layer": 0, "wires": [1, 2]},
+                {"after_layer": 0, "wires": [3]},
+            ]
+        }
+        calls = []
+
+        def builder(k):
+            calls.append(k)
+            return STUB_CUTS[k]
+
+        spec = cuts_from_json(doc, LayeredCircuit(5, ()), builder)
+        assert calls == [2, 1]
+        assert [loc.decomposition for loc in spec.locations] == [
+            STUB_CUTS[2], STUB_CUTS[1], STUB_CUTS[2]
+        ]
+
+
+class TestSamplingHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_count_le_is_searchsorted_right(self, data):
+        """Per-row searchsorted(side="right") for rows of any length 1-70,
+        with ties, zero entries, 1.0 tails and uniforms equal to entries."""
+        width = data.draw(st.integers(1, 70))
+        entry = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = sorted(data.draw(st.lists(entry, min_size=width, max_size=width)))
+            tail = data.draw(st.integers(0, width))
+            rows.append(row[: width - tail] + [1.0] * tail)
+        tables = np.array(rows)
+        shots = data.draw(st.integers(1, 30))
+        which = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=shots, max_size=shots))
+        u = [
+            data.draw(st.sampled_from(rows[r]) | st.floats(0.0, 1.0, exclude_max=True))
+            for r in which
+        ]
+        want = [int(np.searchsorted(tables[r], x, side="right")) for r, x in zip(which, u)]
+        assert estimator._count_le(tables, np.array(which), np.array(u)).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 40))
+    def test_rank_is_unique_with_inverse(self, keys, spare):
+        keys = np.array(keys)
+        distinct, index = estimator._rank(keys, int(keys.max()) + 1 + spare)
+        want, inverse = np.unique(keys, return_inverse=True)
+        assert distinct.tolist() == want.tolist()
+        assert index.tolist() == inverse.tolist()
 
 
 class TestJsonForms:

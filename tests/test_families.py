@@ -282,6 +282,48 @@ class TestFamilyConstruction:
         assert labels == sorted(products)
 
 
+class TestPartitionProperties:
+    """The generated partition passes validate_partition for every n <= 8,
+    and the validator rejects it after one swap, drop or duplication."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8))
+    def test_generated_partition_is_valid(self, n):
+        part = generate_partition(n)
+        validate_partition(part)
+        for fam in part.families:
+            keys = fam.member_keys()
+            assert len(keys) == len(np.unique(keys)) == 2**n - 1
+            assert np.all(keys != 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_swapped_generator_rejected(self, n, data):
+        """From n = 2 on, swapping generators between two families leaves a
+        family with members outside both; at n = 1 a swap only reorders."""
+        fams = list(generate_partition(n).families)
+        i, j = data.draw(st.lists(st.integers(0, 2**n), min_size=2, max_size=2, unique=True))
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        gens_i, gens_j = list(fams[i].generators), list(fams[j].generators)
+        gens_i[a], gens_j[b] = gens_j[b], gens_i[a]
+        with pytest.raises(InvalidInputError):
+            fams[i], fams[j] = CommutingFamily(n, tuple(gens_i)), CommutingFamily(n, tuple(gens_j))
+            validate_partition(FamilyPartition(n, tuple(fams)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_dropped_or_duplicated_family_rejected(self, n, data):
+        fams = list(generate_partition(n).families)
+        i, j = data.draw(st.lists(st.integers(0, 2**n), min_size=2, max_size=2, unique=True))
+        for broken in (
+            fams[:i] + fams[i + 1 :],
+            fams[:i] + [fams[j]] + fams[i + 1 :],
+            fams + [fams[j]],
+        ):
+            with pytest.raises(InvalidInputError):
+                validate_partition(FamilyPartition(n, tuple(broken)))
+
+
 class TestGenerators:
     def test_yz_zx_family_closure(self):
         gens = [PauliString.from_label(s) for s in ("YZ", "ZX")]
