@@ -560,7 +560,7 @@ class TestCutDocuments:
 
 
 class TestSamplingHelpers:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_count_le_is_searchsorted_right(self, data):
         """Per-row searchsorted(side="right") for rows of any length 1-70,
@@ -568,17 +568,17 @@ class TestSamplingHelpers:
         width = data.draw(st.integers(1, 70))
         entry = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
         rows = []
-        for _ in range(data.draw(st.integers(1, 4))):
+        for _ in range(data.draw(st.integers(1, 3))):
             row = sorted(data.draw(st.lists(entry, min_size=width, max_size=width)))
             tail = data.draw(st.integers(0, width))
             rows.append(row[: width - tail] + [1.0] * tail)
         tables = np.array(rows)
         shots = data.draw(st.integers(1, 30))
         which = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=shots, max_size=shots))
-        u = [
-            data.draw(st.sampled_from(rows[r]) | st.floats(0.0, 1.0, exclude_max=True))
-            for r in which
-        ]
+        uniform = st.sampled_from(sorted(set(tables.ravel().tolist()))) | st.floats(
+            0.0, 1.0, exclude_max=True
+        )
+        u = data.draw(st.lists(uniform, min_size=shots, max_size=shots))
         want = [int(np.searchsorted(tables[r], x, side="right")) for r, x in zip(which, u)]
         assert estimator._count_le(tables, np.array(which), np.array(u)).tolist() == want
 
