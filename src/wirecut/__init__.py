@@ -63,10 +63,7 @@ from .families import (
 )
 from .pauli import (
     PauliString,
-    PhasedPauli,
     commutes,
-    multiply,
-    pauli_from_bits,
     pauli_vector,
     to_dense,
 )

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import H_1Q, S_1Q, SQRT2_INV, basis_state, is_unitary, parity
+from .dense import H_1Q, S_1Q, SQRT2_INV, basis_state, is_unitary
 from .errors import (
     DesignViolationError,
     InvalidInputError,
@@ -460,7 +460,7 @@ def build_teleport_nq(n: int) -> Decomposition:
     z = sum(((mu >> (2 * k + 1)) & 1) << k for k in range(n))
     x = sum(((mu >> (2 * k)) & 1) << k for k in range(n))
     idx = np.arange(dim)
-    signs = np.where(parity(idx & z), -1.0, 1.0)  # row mu: (-1)^(i.z) over i
+    signs = np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)  # row mu: (-1)^(i.z) over i
     amp = math.prod([SQRT2_INV] * n)  # one factor per pair
 
     def scatter(at, values) -> np.ndarray:

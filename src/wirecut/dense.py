@@ -65,14 +65,6 @@ def insert_block(rest: np.ndarray, vec: np.ndarray, first: int, k: int) -> np.nd
     return out.reshape(-1)
 
 
-def parity(values: np.ndarray) -> np.ndarray:
-    """Popcount parity (0 or 1) of each non-negative integer in `values`."""
-    out = np.asarray(values).astype(np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        out ^= out >> shift
-    return out & 1
-
-
 def basis_state(index: int, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=complex)
     out[index] = 1.0

@@ -152,7 +152,7 @@ class PostProcess:
 
     @classmethod
     def parity(cls, width: int) -> "PostProcess":
-        return cls(width, np.where(dense.parity(np.arange(2**width)), -1.0, 1.0), "parity")
+        return cls(width, np.where(np.bitwise_count(np.arange(2**width)) & 1, -1.0, 1.0), "parity")
 
     @classmethod
     def bit(cls, k: int, width: int) -> "PostProcess":
@@ -263,7 +263,6 @@ class _CutEngine:
             if not 0 <= loc.after_layer <= len(circuit.layers):
                 raise InvalidInputError("cut layer index out of range")
         self.circuit = circuit
-        self.f = f
         self.locations = [_RealizedLocation(loc, circuit.width) for loc in cuts.locations]
         self.boundaries = [loc.after_layer for loc in cuts.locations]
         self.gamma_total = cuts.gamma_total

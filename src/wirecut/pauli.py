@@ -7,8 +7,7 @@ hermitian tensor product of single-qubit letters
     (z, x) = (0,0) -> I, (0,1) -> X, (1,1) -> Y, (1,0) -> Z,
 
 i.e. the phase (-i)^(z.x) of the Z^z X^x product is absorbed so every
-string has eigenvalues +-1.  Products are tracked with their exact phase
-(a fourth root of unity); commutation is the symplectic inner product
+string has eigenvalues +-1.  Commutation is the symplectic inner product
 over GF(2).  Dense realizations back all of this as an oracle for small n.
 """
 
@@ -25,7 +24,6 @@ from .errors import InvalidInputError, ResourceLimitError
 MAX_QUBITS = 16
 MAX_DENSE_QUBITS = 10
 
-_LETTERS = "IXYZ"
 # letter -> (z, x)
 _LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -67,10 +65,6 @@ class PauliString:
             x |= lx << q
         return cls(len(label), z, x)
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     @property
     def label(self) -> str:
         return "".join(
@@ -78,77 +72,12 @@ class PauliString:
             for q in range(self.n)
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.zbits == 0 and self.xbits == 0
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return (self.zbits | self.xbits).bit_count()
-
-    def bit_vector(self) -> tuple[int, ...]:
-        """The 2n-bit vector (z_1..z_n, x_1..x_n)."""
-        return tuple((self.zbits >> q) & 1 for q in range(self.n)) + tuple(
-            (self.xbits >> q) & 1 for q in range(self.n)
-        )
-
-    def __str__(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli string together with a fourth-root-of-unity phase."""
-
-    phase: complex
-    pauli: PauliString
-
-    def __post_init__(self):
-        if self.phase not in (1, -1, 1j, -1j):
-            raise InvalidInputError(f"phase {self.phase!r} is not a fourth root of unity")
-
-    def to_dense(self) -> np.ndarray:
-        return self.phase * to_dense(self.pauli)
-
-
-def pauli_from_bits(bits: Sequence[int]) -> PauliString:
-    """Decode a 2n-bit vector (z_1..z_n, x_1..x_n) into a Pauli string."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) % 2 != 0 or not bits:
-        raise InvalidInputError("bit vector length must be even and positive")
-    if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError("bit vector entries must be 0 or 1")
-    n = len(bits) // 2
-    z = sum(bits[q] << q for q in range(n))
-    x = sum(bits[n + q] << q for q in range(n))
-    return PauliString(n, z, x)
-
-
-def _dot(a: int, b: int) -> int:
-    return (a & b).bit_count()
-
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic form p.z*q.x + q.z*p.x vanishes mod 2."""
     if p.n != q.n:
         raise InvalidInputError("qubit counts differ")
-    return (_dot(p.zbits, q.xbits) + _dot(q.zbits, p.xbits)) % 2 == 0
-
-
-def multiply(p: PauliString, q: PauliString) -> PhasedPauli:
-    """Matrix product p*q as (phase, string) with the phase tracked exactly."""
-    if p.n != q.n:
-        raise InvalidInputError("qubit counts differ")
-    z = p.zbits ^ q.zbits
-    x = p.xbits ^ q.xbits
-    out = PauliString(p.n, z, x)
-    # Z^a X^b Z^c X^d = (-1)^(bc) Z^(a+c) X^(b+d) per qubit, then re-absorb
-    # the (-i)^(z.x) normalizations of the three strings involved.
-    sign_pow = _dot(p.xbits, q.zbits)  # mod 2
-    quarter = (_dot(p.zbits, p.xbits) + _dot(q.zbits, q.xbits) - _dot(z, x)) % 4
-    phase = (1, -1j, -1, 1j)[quarter] * (1, -1)[sign_pow % 2]
-    return PhasedPauli(complex(phase), out)
+    return ((p.zbits & q.xbits).bit_count() + (q.zbits & p.xbits).bit_count()) % 2 == 0
 
 
 def to_dense(p: PauliString) -> np.ndarray:
@@ -159,27 +88,6 @@ def to_dense(p: PauliString) -> np.ndarray:
     for ch in p.label[1:]:
         mat = np.kron(mat, _DENSE_1Q[ch])
     return mat
-
-
-def pauli_index(p: PauliString) -> int:
-    """Index of the string in the base-4 (I,X,Y,Z) ordering, qubit 1 most significant."""
-    idx = 0
-    for ch in p.label:
-        idx = 4 * idx + _LETTERS.index(ch)
-    return idx
-
-
-def pauli_from_index(idx: int, n: int) -> PauliString:
-    digits = []
-    for _ in range(n):
-        digits.append(_LETTERS[idx % 4])
-        idx //= 4
-    return PauliString.from_label("".join(reversed(digits)))
-
-
-def all_pauli_strings(n: int) -> list[PauliString]:
-    """All 4^n strings in index order."""
-    return [pauli_from_index(k, n) for k in range(4**n)]
 
 
 @functools.cache
@@ -204,28 +112,24 @@ def _walsh_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         b |= ((digit ^ (digit >> 1)) & 1) << q
     tables = (
         gather,
-        1.0 - 2.0 * (_popcount(r[:, None] & r[None, :], n) & 1),
+        1.0 - 2.0 * (np.bitwise_count(r[:, None] & r[None, :]) & 1),
         a * dim + b,
-        np.array([1, 1j, -1, -1j])[_popcount(a & b, n) % 4] * 2.0 ** (-n / 2),
+        np.array([1, 1j, -1, -1j])[np.bitwise_count(a & b) % 4] * 2.0 ** (-n / 2),
     )
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
-    """Set bits of each n-bit mask."""
-    return sum(((masks >> q) & 1 for q in range(n)), np.zeros_like(masks))
-
-
 def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
     """Coefficients Tr[sigma_k mat] in the normalized Pauli basis.
 
-    sigma_k runs over the 4^n strings in :func:`pauli_index` order, each
-    normalized by 2^(-n/2) so the basis is orthonormal under the
-    Hilbert-Schmidt inner product.  A stack of shape (..., 2^n, 2^n) gives
-    one vector per matrix, shape (..., 4^n), each equal bit for bit to the
-    single-matrix call.
+    sigma_k runs over the 4^n strings in base-4 order: the digits of k,
+    most significant first, are the letters of qubits 1..n, with I, X, Y,
+    Z = 0, 1, 2, 3 (so k = 1 is "I...IX").  Each string is normalized by
+    2^(-n/2) so the basis is orthonormal under the Hilbert-Schmidt inner
+    product.  A stack of shape (..., 2^n, 2^n) gives one vector per matrix,
+    shape (..., 4^n), each equal bit for bit to the single-matrix call.
 
     Write a string with z-mask a and x-mask b as i^|a & b| X^b Z^a (Y = iXZ
     on each qubit).  Then Tr[sigma mat] = i^|a & b| sum_r (-1)^(a.r)

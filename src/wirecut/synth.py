@@ -268,7 +268,7 @@ def _is_signed_z_diagonal(mat: np.ndarray, n: int) -> bool:
         if pattern[1 << (n - 1 - q)] < 0:
             s |= 1 << (n - 1 - q)
     idx = np.arange(dim)
-    expect = np.where(dense.parity(idx & s), -1.0, 1.0)
+    expect = np.where(np.bitwise_count(idx & s) & 1, -1.0, 1.0)
     return bool(np.max(np.abs(pattern - expect)) <= tol)
 
 

@@ -1,6 +1,7 @@
 """Estimator tests: exact simulation oracle, unbiasedness, determinism, variance."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -668,25 +669,34 @@ class TestJsonForms:
 
 class TestParity:
     def test_matches_popcount(self):
-        values = np.array([0, 1, 2, 3, 7, 2**31 + 1, 2**32, 2**40 + 2**33 + 5, 2**62 + 1])
-        expect = [bin(int(v)).count("1") % 2 for v in values]
-        assert dense.parity(values).tolist() == expect
+        for width in range(1, 13):
+            expect = [(-1.0) ** bin(k).count("1") for k in range(2**width)]
+            assert PostProcess.parity(width).table.tolist() == expect
 
 
 DECOMPOSITIONS = {
     (method, n): build_decomposition(method, n)
-    for method, n in (("optimal1q", 1), ("mub", 1), ("mub", 2))
+    for method, n in (
+        ("optimal1q", 1),
+        ("mub", 1),
+        ("mub", 2),
+        ("peng", 1),
+        ("randomized", 1),
+        ("teleport", 1),
+        ("teleport", 2),
+    )
 }
 
 
 @st.composite
-def cut_circuits(draw, max_width=4):
-    """A haar_circuits() circuit with one or two optimal1q / mub n <= 2 cuts."""
+def cut_circuits(draw, max_width=4, methods=(("optimal1q", 1), ("mub", 1), ("mub", 2))):
+    """A haar_circuits() circuit with one or two cuts, each a (method, n) of
+    `methods` (by default optimal1q and mub, n <= 2)."""
     circuit = draw(haar_circuits(max_width))
     width, layers = circuit.width, circuit.layers
     locations = []
     for _ in range(draw(st.integers(1, 2))):
-        key = draw(st.sampled_from([k for k in DECOMPOSITIONS if k[1] <= width]))
+        key = draw(st.sampled_from([k for k in methods if k[1] <= width]))
         first = draw(st.integers(1, width - key[1] + 1))
         locations.append(CutLocation(draw(st.integers(0, len(layers))), first, DECOMPOSITIONS[key]))
     locations.sort(key=lambda loc: (loc.after_layer, loc.first_wire))
@@ -732,6 +742,23 @@ class TestProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "CHUNK_SHOTS", chunk)
             assert run_monte_carlo(*case, shots, seed) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cut_circuits(methods=tuple(DECOMPOSITIONS)),
+        st.integers(2, 5000),
+        st.integers(0, 2**128 - 1),
+        st.data(),
+    )
+    def test_std_error_is_fixed_by_gamma_and_estimate(self, case, shots, seed, data):
+        """For a +-1 observable every shot value is +-gamma_total, so the
+        standard error is sqrt((gamma^2 - estimate^2) / (N - 1))."""
+        circuit, cuts, _ = case
+        dim = 2**circuit.width
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+        rep = run_monte_carlo(circuit, cuts, PostProcess(circuit.width, signs), shots, seed)
+        expect = math.sqrt((rep.gamma_total**2 - rep.estimate**2) / (shots - 1))
+        assert rep.std_error == pytest.approx(expect, rel=1e-15, abs=0)
 
 
 def level_requests(engine, paths, depth):

@@ -11,16 +11,10 @@ from hypothesis.extra.numpy import arrays
 from wirecut.errors import InvalidInputError, ResourceLimitError
 from wirecut.pauli import (
     PauliString,
-    PhasedPauli,
-    all_pauli_strings,
     commutes,
     gf2_basis,
     gf2_independent,
     gf2_rank,
-    multiply,
-    pauli_from_bits,
-    pauli_from_index,
-    pauli_index,
     pauli_vector,
     to_dense,
 )
@@ -40,47 +34,48 @@ def dense_oracle(label):
     return out
 
 
+def all_strings(n):
+    """All 4^n strings in base-4 order, qubit 1's letter most significant."""
+    return [PauliString.from_label("".join(t)) for t in itertools.product("IXYZ", repeat=n)]
+
+
 def trace_loop(mat, n):
     """Tr[sigma_k mat] 2^(-n/2) one string at a time, from the kron oracle."""
-    strings = all_pauli_strings(n)
+    strings = all_strings(n)
     return np.array([np.trace(dense_oracle(p.label) @ mat) for p in strings]) * 2.0 ** (-n / 2)
 
 
 class TestEncoding:
     def test_bits_to_pauli_known_values(self):
-        assert pauli_from_bits((0, 0)).label == "I"
-        assert pauli_from_bits((1, 1)).label == "Y"
-        assert pauli_from_bits((1, 0)).label == "Z"
-        assert pauli_from_bits((0, 1)).label == "X"
-        assert pauli_from_bits([0] * 6).label == "III"
+        assert PauliString(1, 0, 0).label == "I"
+        assert PauliString(1, 1, 1).label == "Y"
+        assert PauliString(1, 1, 0).label == "Z"
+        assert PauliString(1, 0, 1).label == "X"
+        assert PauliString(3, 0, 0).label == "III"
 
     def test_pauli_to_bits_known_values(self):
-        assert PauliString.from_label("Z").bit_vector() == (1, 0)
-        assert PauliString.from_label("I" * 4).bit_vector() == (0,) * 8
-        # X on qubit 1, Y on qubit 2 -> (z_1, z_2, x_1, x_2)
-        assert PauliString.from_label("XY").bit_vector() == (0, 1, 1, 1)
+        z = PauliString.from_label("Z")
+        assert (z.zbits, z.xbits) == (1, 0)
+        # X on qubit 1 (x bit 0), Y on qubit 2 (z and x bit 1)
+        xy = PauliString.from_label("XY")
+        assert (xy.zbits, xy.xbits) == (0b10, 0b11)
 
     def test_xy_bits_against_dense(self):
-        p = pauli_from_bits((0, 1, 1, 1))
+        p = PauliString(2, 0b10, 0b11)
         np.testing.assert_allclose(to_dense(p), dense_oracle("XY"), atol=1e-14)
 
     def test_round_trip_exhaustive_small_n(self):
         for n in (1, 2):
-            for bits in itertools.product((0, 1), repeat=2 * n):
-                p = pauli_from_bits(bits)
-                assert p.bit_vector() == bits
-                assert pauli_from_bits(p.bit_vector()) == p
+            for z, x in itertools.product(range(2**n), repeat=2):
+                p = PauliString(n, z, x)
+                assert PauliString.from_label(p.label) == p
 
     def test_round_trip_randomized_larger_n(self):
         rng = np.random.default_rng(7)
         for n in range(3, 9):
-            for _ in range(50):
-                bits = tuple(int(b) for b in rng.integers(0, 2, size=2 * n))
-                assert pauli_from_bits(bits).bit_vector() == bits
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pauli_from_bits((0, 1, 0))
+            for z, x in rng.integers(0, 2**n, size=(50, 2)).tolist():
+                p = PauliString(n, z, x)
+                assert PauliString.from_label(p.label) == p
 
     def test_label_round_trip(self):
         for label in ("X", "ZZ", "XZI", "IYXZ"):
@@ -103,53 +98,10 @@ class TestCommutation:
             commutes(PauliString.from_label("X"), PauliString.from_label("XX"))
 
     def test_exhaustive_against_dense_commutator_n2(self):
-        strings = all_pauli_strings(2)
+        strings = all_strings(2)
         for p, q in itertools.product(strings, strings):
             comm = to_dense(p) @ to_dense(q) - to_dense(q) @ to_dense(p)
             assert commutes(p, q) == bool(np.max(np.abs(comm)) < 1e-12)
-
-
-class TestMultiply:
-    def test_z_times_x_is_iy(self):
-        out = multiply(PauliString.from_label("Z"), PauliString.from_label("X"))
-        assert out.phase == 1j
-        assert out.pauli.label == "Y"
-        np.testing.assert_allclose(out.to_dense(), Z @ X, atol=1e-14)
-
-    def test_involution(self):
-        for label in ("X", "Y", "ZZ", "XYZ", "IYXI"):
-            p = PauliString.from_label(label)
-            out = multiply(p, p)
-            assert out.phase == 1
-            assert out.pauli.is_identity
-
-    def test_random_products_against_dense_n3(self):
-        rng = np.random.default_rng(11)
-        strings = all_pauli_strings(3)
-        for _ in range(200):
-            p, q = rng.choice(len(strings), size=2)
-            p, q = strings[p], strings[q]
-            out = multiply(p, q)
-            np.testing.assert_allclose(
-                out.to_dense(), to_dense(p) @ to_dense(q), atol=1e-12
-            )
-
-    def test_associativity_via_dense(self):
-        rng = np.random.default_rng(3)
-        strings = all_pauli_strings(2)
-        for _ in range(100):
-            p, q, r = (strings[i] for i in rng.choice(len(strings), size=3))
-            qr = multiply(q, r)
-            pq = multiply(p, q)
-            lhs = multiply(p, qr.pauli)
-            rhs = multiply(pq.pauli, r)
-            full = to_dense(p) @ to_dense(q) @ to_dense(r)
-            np.testing.assert_allclose(qr.phase * lhs.to_dense(), full, atol=1e-12)
-            np.testing.assert_allclose(pq.phase * rhs.to_dense(), full, atol=1e-12)
-
-    def test_phase_is_fourth_root(self):
-        with pytest.raises(InvalidInputError):
-            PhasedPauli(0.5, PauliString.from_label("X"))
 
 
 class TestDense:
@@ -166,17 +118,17 @@ class TestDense:
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            to_dense(PauliString.identity(11))
+            to_dense(PauliString(11, 0, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hermitian_unitary_traceless(self, n):
-        for p in all_pauli_strings(n):
+        for p in all_strings(n):
             mat = to_dense(p)
             np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
             np.testing.assert_allclose(mat @ mat, np.eye(2**n), atol=1e-14)
             eig = np.linalg.eigvalsh(mat)
             np.testing.assert_allclose(np.abs(eig), np.ones(2**n), atol=1e-12)
-            if not p.is_identity:
+            if p.label != "I" * n:
                 assert abs(np.trace(mat)) < 1e-12
             # entries all real or all imaginary
             re = np.max(np.abs(mat.real))
@@ -231,11 +183,6 @@ class TestPauliVector:
     def test_wrong_trailing_shape_rejected(self, shape):
         with pytest.raises(InvalidInputError):
             pauli_vector(np.zeros(shape, dtype=complex), 2)
-
-    def test_index_round_trip(self):
-        for n in (1, 2, 3):
-            for k in range(4**n):
-                assert pauli_index(pauli_from_index(k, n)) == k
 
 
 class TestBinaryMatrix:
@@ -310,15 +257,6 @@ def pauli_pairs(draw):
 
 
 class TestDenseProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(pauli_pairs())
-    def test_multiply_matches_dense_product(self, pair):
-        p, q = pair
-        out = multiply(p, q)
-        np.testing.assert_allclose(
-            out.phase * to_dense(out.pauli), to_dense(p) @ to_dense(q), atol=1e-12
-        )
-
     @settings(max_examples=300, deadline=None)
     @given(pauli_pairs())
     def test_commutes_matches_dense_commutator(self, pair):

@@ -1,5 +1,7 @@
 """Synthesizer tests: known small circuits, dense conjugation oracle, bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from wirecut.errors import InvalidInputError, SynthesisError
 from wirecut.families import CommutingFamily, generate_partition
-from wirecut.pauli import PauliString, all_pauli_strings, multiply, pauli_from_bits, to_dense
+from wirecut.pauli import PauliString, to_dense
 from wirecut.synth import (
     GATE_NAMES,
     CliffordCircuit,
@@ -23,10 +25,9 @@ from wirecut.synth import (
 )
 
 
-def symplectic_conjugate(gate, bits):
-    """Phase-free action of conjugation by `gate` on a (z_1..z_n, x_1..x_n) vector."""
-    p = pauli_from_bits(bits)
-    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits)).bit_vector()
+def symplectic_conjugate(gate, p):
+    """Phase-free action of conjugation by `gate` on a Pauli string."""
+    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits))
 
 
 def family_from_labels(*labels):
@@ -69,20 +70,21 @@ class TestKnownCircuits:
 
 class TestSymplecticAction:
     def test_h_swaps_z_and_x(self):
-        assert symplectic_conjugate(Gate("H", (1,)), (1, 0)) == (0, 1)
+        assert symplectic_conjugate(Gate("H", (1,)), PauliString(1, 1, 0)) == PauliString(1, 0, 1)
 
     def test_sdg_adds_x_to_z(self):
-        assert symplectic_conjugate(Gate("SDG", (1,)), (0, 1)) == (1, 1)
+        assert symplectic_conjugate(Gate("SDG", (1,)), PauliString(1, 0, 1)) == PauliString(1, 1, 1)
 
     def test_cz_mixes_neighbours(self):
         # X on qubit 1 picks up Z on qubit 2: XI -> XZ up to phase
-        out = symplectic_conjugate(Gate("CZ", (1, 2)), PauliString.from_label("XI").bit_vector())
-        assert pauli_from_bits(out).label == "XZ"
+        out = symplectic_conjugate(Gate("CZ", (1, 2)), PauliString.from_label("XI"))
+        assert out.label == "XZ"
 
     def test_cz_action_matches_dense(self):
         cz = circuit_unitary(CliffordCircuit.from_gates(2, [Gate("CZ", (1, 2))]))
-        for p in all_pauli_strings(2):
-            out = pauli_from_bits(symplectic_conjugate(Gate("CZ", (1, 2)), p.bit_vector()))
+        for letters in itertools.product("IXYZ", repeat=2):
+            p = PauliString.from_label("".join(letters))
+            out = symplectic_conjugate(Gate("CZ", (1, 2)), p)
             conj = cz @ to_dense(p) @ cz.conj().T
             # agreement modulo a +-1 phase
             ratio = conj @ np.linalg.inv(to_dense(out))
@@ -97,9 +99,8 @@ class TestSymplecticAction:
         for fam in part.families[:-1][:4]:
             circ = synthesize(fam)
             u = circuit_unitary(circ)
-            for _ in range(10):
-                bits = tuple(int(b) for b in rng.integers(0, 2, size=2 * n))
-                p = pauli_from_bits(bits)
+            for z, x in rng.integers(0, 2**n, size=(10, 2)).tolist():
+                p = PauliString(n, z, x)
                 q = conjugate_by_inverse(circ, p)
                 conj = u.conj().T @ to_dense(p) @ u
                 ratio = conj @ np.linalg.inv(to_dense(q))
@@ -241,20 +242,20 @@ def regenerated_families(draw):
     gens = list(fam.generators)
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
         if i != j:
-            gens[i] = multiply(gens[i], gens[j]).pauli
+            gens[i] = PauliString(n, gens[i].zbits ^ gens[j].zbits, gens[i].xbits ^ gens[j].xbits)
     gens = draw(st.permutations(gens))
     return fam, CommutingFamily(n, tuple(gens))
 
 
 @st.composite
 def one_gate_cases(draw):
-    """A gate on n <= 6 qubits and a 2n-bit vector for it to act on."""
+    """A gate on n <= 6 qubits and a Pauli string, drawn as (z, x) masks, for it to act on."""
     n = draw(st.integers(1, 6))
     name = draw(st.sampled_from(GATE_NAMES if n > 1 else ("H", "SDG")))
     k = 2 if name == "CZ" else 1
     qubits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
-    bits = draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
-    return Gate(name, tuple(qubits)), bits
+    masks = st.integers(0, 2**n - 1)
+    return Gate(name, tuple(qubits)), PauliString(n, draw(masks), draw(masks))
 
 
 class TestSynthesisProperties:
@@ -271,11 +272,9 @@ class TestSynthesisProperties:
     @settings(max_examples=200, deadline=None)
     @given(one_gate_cases())
     def test_bit_action_matches_circuit_action(self, case):
-        gate, bits = case
-        n = len(bits) // 2
-        circuit = CliffordCircuit.from_gates(n, [gate])
-        expect = conjugate_by_inverse(circuit, pauli_from_bits(bits)).bit_vector()
-        assert symplectic_conjugate(gate, bits) == expect
+        gate, p = case
+        circuit = CliffordCircuit.from_gates(p.n, [gate])
+        assert symplectic_conjugate(gate, p) == conjugate_by_inverse(circuit, p)
 
 
 def memberwise_verdict(circuit, family):
