@@ -8,7 +8,6 @@ cost models.
 """
 
 from .channels import (
-    ChannelTerm,
     Decomposition,
     MPChannel,
     build_decomposition,

@@ -16,10 +16,10 @@ target channel; here the target is always the n-qubit identity.  Builders:
 
 Every builder's channel has rank-1 effects |e><e| and re-prepares pure
 states or mixtures of them, so an MPChannel stores the vectors e and the
-prep ensembles; dense matrices appear only at the file boundary and in
-the transfer-matrix checks.  Weights are exact `fractions.Fraction`s so
-gamma and m assertions are exact; verification happens in double
-precision through the Pauli transfer matrix.
+prep ensembles, and decomposition files store exactly those arrays; dense
+matrices appear only in the transfer-matrix checks.  Weights are exact
+`fractions.Fraction`s so gamma and m assertions are exact; verification
+happens in double precision through the Pauli transfer matrix.
 """
 
 from __future__ import annotations
@@ -47,27 +47,8 @@ from .synth import CliffordCircuit, circuit_unitary, verify_diagonalizes_symplec
 
 MAX_PTM_QUBITS = 6
 PTM_TOL = 1e-10
-PSD_FLOOR = -1e-10
 
 Weight = Fraction | float
-
-
-def _not_hermitian(mat: np.ndarray) -> bool:
-    return np.abs(mat - mat.conj().T).max() > 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelTerm:
-    """One dense term of a channel, as files store it: sign a, effect E,
-    prepared state rho."""
-
-    a: int
-    effect: np.ndarray
-    prep: np.ndarray
-
-    def __post_init__(self):
-        if self.a not in (1, -1):
-            raise InvalidInputError("term sign must be +1 or -1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +62,9 @@ class MPChannel:
     construction checks only, in order: shapes (O,), (O, 2^n), (O, P) and
     (O, P, 2^n), finite entries, signs +-1, prep weights >= 0 summing to 1,
     unit prep vectors (where the weight is positive), and effects summing
-    to the identity, which an empty channel fails.  Dense matrices come in
-    through :meth:`from_terms` and go out through :meth:`dense_terms`.
+    to the identity, which an empty channel fails.  These checks are the
+    only ones a loaded decomposition file gets.  Dense matrices exist only
+    as the output of :meth:`dense_terms`.
     """
 
     n: int
@@ -114,64 +96,6 @@ class MPChannel:
             raise InvalidInputError("prep vectors must have unit norm")
         if np.max(np.abs(self.effects.T @ self.effects.conj() - np.eye(dim))) > 1e-10:
             raise InvalidInputError("POVM effects do not sum to the identity")
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Sequence[ChannelTerm]) -> "MPChannel":
-        """Channel from dense terms (a, E, rho), as files and hand-made cases give them.
-
-        Checks the terms one by one and raises InvalidInputError naming the
-        first failing check of the first failing term.  A term is checked for,
-        in order: a numeric effect and prep (arrays or nested lists), of shape
-        2^n x 2^n, finite entries, a hermitian effect, a hermitian prep, a
-        positive semidefinite effect, a positive semidefinite prep (smallest
-        eigh eigenvalue at least PSD_FLOOR), and a prep of unit trace.
-
-        The same eigh factors the term.  Its effect gives one outcome
-        sqrt(lam) v per eigenpair with lam > 1e-12, in ascending lam, with the
-        term's sign and prep.  A diagonal prep becomes an ensemble of basis
-        states, any other prep one of its eigenvectors, weighted by the
-        normalized diagonal entries or eigenvalues above 1e-12.  The factored
-        channel's own construction then checks that the effects sum to the
-        identity, which an empty term list fails.
-        """
-        dim = 2**n
-        effects, ensembles, rows = [np.zeros((0, dim), dtype=complex)], [], []
-        for t, term in enumerate(terms):
-            try:
-                effect = np.asarray(term.effect, dtype=complex)
-                prep = np.asarray(term.prep, dtype=complex)
-            except (TypeError, ValueError):
-                raise InvalidInputError("term matrices must be numeric arrays") from None
-            if not effect.shape == prep.shape == (dim, dim):
-                raise InvalidInputError("term matrices do not match qubit count")
-            if not (np.isfinite(effect).all() and np.isfinite(prep).all()):
-                raise InvalidInputError("term matrices must be finite")
-            if _not_hermitian(effect):
-                raise InvalidInputError("POVM effect is not hermitian")
-            if _not_hermitian(prep):
-                raise InvalidInputError("prepared state is not hermitian")
-            lam, vecs = np.linalg.eigh(effect)
-            weights, states = np.linalg.eigh(prep)
-            if lam[0] < PSD_FLOOR:
-                raise InvalidInputError("POVM effect is not positive semidefinite")
-            if weights[0] < PSD_FLOOR:
-                raise InvalidInputError("prepared state is not positive semidefinite")
-            if abs(np.trace(prep) - 1.0) > 1e-10:
-                raise InvalidInputError("prepared state must have unit trace")
-            kept = lam > 1e-12
-            effects.append(np.sqrt(lam[kept])[:, None] * vecs[:, kept].T)
-            rows += [t] * int(kept.sum())
-            if np.abs(prep - np.diag(prep.diagonal())).max() < 1e-12:
-                weights, states = prep.diagonal().real, np.eye(dim, dtype=complex)
-            kept = weights > 1e-12
-            ensembles.append((weights[kept] / weights[kept].sum(), states[:, kept].T))
-        width = max((len(w) for w, _ in ensembles), default=1)
-        probs = np.zeros((len(ensembles), width))
-        preps = np.zeros((*probs.shape, dim), dtype=complex)
-        for t, (w, chis) in enumerate(ensembles):
-            probs[t, : len(w)], preps[t, : len(w)] = w, chis
-        signs = np.array([term.a for term in terms], dtype=int)
-        return cls(n, signs[rows], np.concatenate(effects), probs[rows], preps[rows])
 
     def dense_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """The stacks (effects, preps), each (O, 2^n, 2^n): row o is outcome
@@ -488,13 +412,10 @@ def build_teleport_nq(n: int) -> Decomposition:
 # JSON wire format
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack((mat.real, mat.imag), axis=-1).tolist()
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+def _array_to_json(array: np.ndarray) -> list:
+    """A complex array as nested lists whose innermost entries are [re, im] pairs."""
+    array = np.asarray(array, dtype=complex)
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def _field(obj, key: str, where: str):
@@ -520,18 +441,37 @@ def _list_field(obj, key: str, where: str) -> list:
     return value
 
 
-def _matrix_field(obj, key: str, where: str, dim: int) -> np.ndarray:
-    """A dim x dim matrix stored as rows of [re, im] pairs."""
+# how _array_field's messages name the entries of each dtype kind
+_ELEMENTS = {"i": "integers", "f": "numbers", "c": "[re, im] pairs"}
+
+
+def _array_field(
+    obj, key: str, where: str, kind: str, shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """obj[key] as a numpy array of dtype kind `kind`: "i" integers, "f"
+    floats, or "c" complex numbers written as [re, im] pairs, the form of
+    _array_to_json.  When `shape` is given, the array must have it.
+
+    The value must be non-empty rectangular nested lists of JSON numbers:
+    ragged lists, text, null, objects and integers beyond 64 bits are
+    rejected.  Pairs are copied into the real and imaginary parts as they
+    are, so every double, signed zeros included, comes back bit for bit.
+    """
     value = _field(obj, key, where)
     try:
-        matrix = _matrix_from_json(value)
-    except (TypeError, ValueError, OverflowError):
-        matrix = None
-    if matrix is None or matrix.shape != (dim, dim):
-        raise InvalidInputError(
-            f"field {where}{key} must be a {dim} x {dim} matrix of [re, im] pairs"
-        )
-    return matrix
+        array = np.array(value)
+    except (ValueError, OverflowError):  # ragged, or nested past numpy's rank limit
+        array = np.empty(0)
+    if array.dtype.kind in "iuf":
+        if kind == "c" and array.shape[-1:] == (2,):
+            array = np.ascontiguousarray(array, dtype=float).view(complex)[..., 0]
+        elif kind == "f":
+            array = array.astype(float)
+    wrong_shape = shape is not None and array.shape != shape
+    if not array.size or array.dtype.kind != kind or wrong_shape:
+        what = "an array" if shape is None else f"a {' x '.join(map(str, shape))} matrix"
+        raise InvalidInputError(f"field {where}{key} must be {what} of {_ELEMENTS[kind]}")
+    return array
 
 
 def _load_json(path, parse):
@@ -548,6 +488,8 @@ def _load_json(path, parse):
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
+    """The JSON wire format: each channel's weight and its four arrays as
+    the channel holds them, so a loaded file gives the same arrays bit for bit."""
     return {
         "label": d.label,
         "n": d.n,
@@ -556,21 +498,26 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "channels": [
             {
                 "weight": float(c),
-                "terms": [
-                    {"a": a, "effect": _matrix_to_json(e), "prep": _matrix_to_json(p)}
-                    for a, e, p in zip(ch.signs.tolist(), *ch.dense_terms())
-                ],
+                "signs": ch.signs.tolist(),
+                "effects": _array_to_json(ch.effects),
+                "prep_probs": ch.prep_probs.tolist(),
+                "preps": _array_to_json(ch.preps),
             }
             for c, ch in d.channels
         ],
     }
 
 
+# the arrays of a channel entry, in MPChannel's order, with their dtype kinds
+_CHANNEL_ARRAYS = (("signs", "i"), ("effects", "c"), ("prep_probs", "f"), ("preps", "c"))
+
+
 def decomposition_from_json(data: dict) -> Decomposition:
     """Decomposition from the JSON wire format.
 
     Malformed input raises InvalidInputError naming the field; `n` is checked
-    against MAX_PTM_QUBITS before any matrix is parsed.
+    against MAX_PTM_QUBITS before any array is parsed, and each channel's
+    arrays are checked by MPChannel's construction.
     """
     n = _int_field(data, "n", "")
     if not 1 <= n <= MAX_PTM_QUBITS:
@@ -581,18 +528,9 @@ def decomposition_from_json(data: dict) -> Decomposition:
         weight = _field(entry, "weight", where)
         if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
             raise InvalidInputError(f"field {where}weight must be a finite number")
-        terms = []
-        for j, term in enumerate(_list_field(entry, "terms", where)):
-            at = f"{where}terms[{j}]."
-            terms.append(
-                (
-                    _int_field(term, "a", at),
-                    _matrix_field(term, "effect", at, 2**n),
-                    _matrix_field(term, "prep", at, 2**n),
-                )
-            )
+        arrays = [_array_field(entry, key, where, kind) for key, kind in _CHANNEL_ARRAYS]
         try:
-            channel = MPChannel.from_terms(n, [ChannelTerm(*t) for t in terms])
+            channel = MPChannel(n, *arrays)
         except InvalidInputError as exc:
             raise InvalidInputError(f"field {where.rstrip('.')}: {exc}") from None
         channels.append((float(weight), channel))

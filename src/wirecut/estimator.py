@@ -51,12 +51,12 @@ import numpy as np
 from . import dense
 from .channels import (
     Decomposition,
+    _array_field,
+    _array_to_json,
     _field,
     _int_field,
     _list_field,
     _load_json,
-    _matrix_field,
-    _matrix_to_json,
 )
 from .errors import InvalidInputError, NumericFailureError, ResourceLimitError
 
@@ -144,7 +144,7 @@ class PostProcess:
         table = np.asarray(table, dtype=float)
         if table.shape != (2**width,):
             raise InvalidInputError("postprocess table must cover all outcomes")
-        if np.max(np.abs(table)) > 1.0 + 1e-12:
+        if not (np.abs(table) <= 1.0 + 1e-12).all():  # NaN fails too
             raise InvalidInputError("postprocess values must lie in [-1, 1]")
         self.width = width
         self.table = table
@@ -525,7 +525,7 @@ def circuit_to_json(circuit: LayeredCircuit, f: PostProcess) -> dict:
         "layers": [
             {
                 "qubits": list(range(l.first, l.first + l.span)),
-                "matrix": _matrix_to_json(l.matrix),
+                "matrix": _array_to_json(l.matrix),
             }
             for l in circuit.layers
         ],
@@ -567,7 +567,8 @@ def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
         qubits = _range_field(entry, "qubits", where)
         if qubits[-1] > width:
             raise InvalidInputError(f"field {where}qubits must lie in [1, {width}]")
-        matrix = _matrix_field(entry, "matrix", where, 2 ** len(qubits))
+        dim = 2 ** len(qubits)
+        matrix = _array_field(entry, "matrix", where, "c", (dim, dim))
         layers.append(CircuitLayer(qubits[0], matrix))
     circuit = LayeredCircuit(width, tuple(layers))
     spec = data.get("f", "parity")

@@ -174,21 +174,26 @@ class TestExactAndEstimate:
             outputs.append(json.loads(out.read_text()))
         assert outputs[0]["estimate"] == outputs[1]["estimate"]
 
-    @pytest.mark.parametrize("method", ["optimal1q", "peng", "mub"])
-    def test_file_estimate_prints_the_same_bytes(self, capsys, tmp_path, method):
-        """A loaded file is factored into the same outcomes as the builder's
-        channels, so the estimate's stdout is the same to the byte."""
+    @pytest.mark.parametrize("method, n", [
+        pytest.param(method, 1, id=method) for method in ("optimal1q", "peng", "mub")
+    ] + [pytest.param(method, 2, id=f"{method}-2wire") for method in ("mub", "teleport")])
+    def test_file_estimate_prints_the_same_bytes(self, capsys, tmp_path, method, n):
+        """A saved file holds the builder's channel arrays, so the estimate's
+        stdout is the same to the byte: one-wire cuts of the demo circuit,
+        two-wire cuts of the GHZ demo."""
         from wirecut.channels import build_decomposition, save_decomposition
 
+        circuit, cuts = {1: ("demo_circuit.json", "demo_cut.json"),
+                         2: ("demo_ghz.json", "demo_cut_2wire.json")}[n]
         dec_file = tmp_path / f"{method}.json"
-        save_decomposition(build_decomposition(method, 1), dec_file)
+        save_decomposition(build_decomposition(method, n), dec_file)
         outputs = []
         for source in (method, f"file:{dec_file}"):
             code, out, _ = run(
                 capsys,
                 "estimate",
-                "--circuit", str(DEMOS / "demo_circuit.json"),
-                "--cuts", str(DEMOS / "demo_cut.json"),
+                "--circuit", str(DEMOS / circuit),
+                "--cuts", str(DEMOS / cuts),
                 "--method", source,
                 "--shots", "20001",
                 "--seed", "0",
@@ -317,8 +322,22 @@ def _decomposition(edit):
     return "decomposition", json.dumps(data)
 
 
-def _term(edit):
-    return _decomposition(lambda d: edit(d["channels"][0]["terms"][0]))
+def _channel(edit):
+    return _decomposition(lambda d: edit(d["channels"][0]))
+
+
+def _dense_term_format(data):
+    """Rewrite each channel as the format written before channels were
+    stored as arrays: dense {"a", "effect", "prep"} terms."""
+    from wirecut.channels import _array_to_json, build_optimal_1q
+
+    for entry, (_, ch) in zip(data["channels"], build_optimal_1q().channels):
+        for key in ("signs", "effects", "prep_probs", "preps"):
+            del entry[key]
+        entry["terms"] = [
+            {"a": a, "effect": _array_to_json(e), "prep": _array_to_json(p)}
+            for a, e, p in zip(ch.signs.tolist(), *ch.dense_terms())
+        ]
 
 
 # case -> (which file is malformed, its text, what the error must name)
@@ -337,6 +356,10 @@ MALFORMED = {
     "matrix_missing": (*_layer(0, lambda l: l.pop("matrix")), "layers[0].matrix"),
     "matrix_malformed": (*_layer(0, lambda l: l.update(matrix=[[1, 0]])), "layers[0].matrix"),
     "table_missing": (*_circuit(lambda d: d.update(f="table")), "table"),
+    "table_nan": (
+        *_circuit(lambda d: d.update(f="table", table=[float("nan")] + [0.5] * 7)),
+        "field table: postprocess values must lie in [-1, 1]",
+    ),
     "bad_postprocess": (*_circuit(lambda d: d.update(f="bit:x")), "field f"),
     "cuts_truncated": ("cuts", (DEMOS / "demo_cut.json").read_text()[:10], "not valid JSON"),
     "locations_missing": ("cuts", "{}", "locations"),
@@ -379,27 +402,40 @@ MALFORMED = {
         *_decomposition(lambda d: d["channels"][0].update(weight=float("inf"))),
         "channels[0].weight",
     ),
-    "terms_missing": (
-        *_decomposition(lambda d: d["channels"][0].pop("terms")), "channels[0].terms"
+    "dense_term_format": (*_decomposition(_dense_term_format), "missing field channels[0].signs"),
+    "terms_empty": (
+        *_channel(lambda c: c.update(signs=[], effects=[], prep_probs=[], preps=[])),
+        "channels[0].signs",
     ),
-    "terms_empty": (*_decomposition(lambda d: d["channels"][0].update(terms=[])), "channels[0]"),
-    "a_missing": (*_term(lambda t: t.pop("a")), "channels[0].terms[0].a"),
-    "a_not_sign": (*_term(lambda t: t.update(a=2)), "channels[0]"),
-    "effect_missing": (*_term(lambda t: t.pop("effect")), "channels[0].terms[0].effect"),
+    "signs_missing": (*_channel(lambda c: c.pop("signs")), "missing field channels[0].signs"),
+    "signs_not_integers": (
+        *_channel(lambda c: c.update(signs=[1.0, 1.0])), "channels[0].signs must be an array"
+    ),
+    "signs_not_unit": (
+        *_channel(lambda c: c.update(signs=[2, -2])), "channels[0]: outcome signs"
+    ),
+    "effect_missing": (*_channel(lambda c: c.pop("effects")), "missing field channels[0].effects"),
     "effect_malformed": (
-        *_term(lambda t: t.update(effect=[[1, 0]])), "channels[0].terms[0].effect"
+        *_channel(lambda c: c["effects"][0].__setitem__(0, ["1", 0])),
+        "channels[0].effects must be an array",
     ),
     "effect_wrong_width": (
-        *_decomposition(lambda d: d.update(n=2)), "channels[0].terms[0].effect"
+        *_decomposition(lambda d: d.update(n=2)), "channels[0]: channel arrays do not match"
     ),
     "prep_not_finite": (
-        *_term(lambda t: t["prep"][0].__setitem__(0, [float("nan"), 0])), "channels[0]"
+        *_channel(lambda c: c["preps"][0][0].__setitem__(0, [float("nan"), 0])),
+        "channels[0]: channel arrays must be finite",
     ),
     "matrix_number_too_large": (
         *_layer(0, lambda l: l["matrix"][0].__setitem__(0, [10**400, 0])), "layers[0].matrix"
     ),
+    "prep_weight_negative": (
+        *_channel(lambda c: c.update(prep_probs=[[-1.0], [1.0]])),
+        "channels[0]: prep weights must be non-negative",
+    ),
     "prep_not_a_state": (
-        *_term(lambda t: t.update(prep=[[[2, 0], [0, 0]], [[0, 0], [-1, 0]]])), "channels[0]"
+        *_channel(lambda c: c["preps"][0].__setitem__(0, [[2, 0], [0, 0]])),
+        "channels[0]: prep vectors must have unit norm",
     ),
 }
 

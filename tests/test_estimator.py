@@ -658,6 +658,12 @@ class TestJsonForms:
         with pytest.raises(InvalidInputError, match="bit index"):
             PostProcess.from_spec(spec, 3)
 
+    @pytest.mark.parametrize("value", [1.5, -2.0, np.nan, np.inf, -np.inf])
+    def test_table_values_outside_the_unit_interval_rejected(self, value):
+        """NaN compares false with any bound, so it must fail the range check too."""
+        with pytest.raises(InvalidInputError, match=r"must lie in \[-1, 1\]"):
+            PostProcess(1, [0.5, value])
+
     def test_report_json(self):
         rep = run_monte_carlo(
             demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3), 100

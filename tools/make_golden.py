@@ -7,17 +7,18 @@ from wirecut.families import CommutingFamily, expand_family
 from wirecut.pauli import PauliString
 from wirecut.synth import CliffordCircuit, synthesize, verify_diagonalizes
 
-# (generators, gate lines) per circuit, transcribed from the reference tables
+# (generators, gate lines after the H layer on every qubit) per circuit,
+# transcribed from the reference tables
 TABLES = {
     1: [
-        (["X"], ["H 1"]),
-        (["Y"], ["H 1", "SDG 1"]),
+        (["X"], []),
+        (["Y"], ["SDG 1"]),
     ],
     2: [
-        (["XI", "IX"], ["H 1", "H 2"]),
-        (["YZ", "ZX"], ["H 1", "H 2", "SDG 1", "CZ 1 2"]),
-        (["XZ", "ZY"], ["H 1", "H 2", "SDG 2", "CZ 1 2"]),
-        (["YI", "IY"], ["H 1", "H 2", "SDG 1", "SDG 2"]),
+        (["XI", "IX"], []),
+        (["YZ", "ZX"], ["SDG 1", "CZ 1 2"]),
+        (["XZ", "ZY"], ["SDG 2", "CZ 1 2"]),
+        (["YI", "IY"], ["SDG 1", "SDG 2"]),
     ],
     3: [
         (["YZI", "ZXZ", "IZX"], ["SDG 1", "CZ 2 3", "CZ 1 2"]),
@@ -74,10 +75,7 @@ def main():
             fam = CommutingFamily(n, gen_ps)
             members = sorted(p.label for p in expand_family(gen_ps))
             families.append({"generators": gens, "members": members})
-            lines = [f"H {q}" for q in range(1, n + 1)] + (extra_gates if n >= 3 else extra_gates)
-            # n=1,2 rows already include the H layer in the table data
-            if n <= 2:
-                lines = extra_gates
+            lines = [f"H {q}" for q in range(1, n + 1)] + extra_gates
             text = "\n".join(lines) + "\n"
             circ = CliffordCircuit.parse(text, n)
             # cross-checks: the printed circuit must diagonalize its family and
