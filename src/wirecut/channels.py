@@ -340,8 +340,7 @@ def build_randomized_nq(
     if not unitary_set:
         raise InvalidInputError("empty unitary set")
     dim = 2**n
-    probs = [p for _, p in unitary_set]
-    if abs(float(sum(probs)) - 1.0) > 1e-12:
+    if abs(float(sum(p for _, p in unitary_set)) - 1.0) > 1e-12:
         raise InvalidInputError("unitary probabilities must sum to one")
     channels: list[tuple[Weight, MPChannel]] = []
     for u, p in unitary_set:
@@ -349,8 +348,7 @@ def build_randomized_nq(
         if not is_unitary(u) or u.shape != (dim, dim):
             raise InvalidInputError("non-unitary matrix in the ensemble")
         channels.append(((dim + 1) * p, _basis_channel(n, u)))
-    channels.append((Fraction(-dim) if isinstance(probs[0], Fraction) else -float(dim),
-                     _computational_channel(n, exclude_outcome=False)))
+    channels.append((-dim, _computational_channel(n, exclude_outcome=False)))
     out = Decomposition(n, tuple(channels), "randomized")
     residual = verify_decomposition(out)
     if residual > PTM_TOL:
@@ -393,7 +391,7 @@ def build_teleport_nq(n: int) -> Decomposition:
         return out
 
     def channel(effects, preps) -> MPChannel:
-        return _pure_channel(n, [(1, e, chi) for e, chi in zip(effects, preps)])
+        return MPChannel(n, np.ones(4**n, dtype=int), effects, np.ones((4**n, 1)), preps[:, None])
 
     channels: list[tuple[Weight, MPChannel]] = []
     for e_conj in (ladder / np.sqrt(dim)).conj():
@@ -469,8 +467,8 @@ def _array_field(
             array = array.astype(float)
     wrong_shape = shape is not None and array.shape != shape
     if not array.size or array.dtype.kind != kind or wrong_shape:
-        what = "an array" if shape is None else f"a {' x '.join(map(str, shape))} matrix"
-        raise InvalidInputError(f"field {where}{key} must be {what} of {_ELEMENTS[kind]}")
+        size = "" if shape is None else " x ".join(map(str, shape)) + " "
+        raise InvalidInputError(f"field {where}{key} must be an array of {size}{_ELEMENTS[kind]}")
     return array
 
 
@@ -487,6 +485,10 @@ def _load_json(path, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+# the arrays of a channel entry, in MPChannel's order, with their dtype kinds
+_CHANNEL_ARRAYS = (("signs", "i"), ("effects", "c"), ("prep_probs", "f"), ("preps", "c"))
+
+
 def decomposition_to_json(d: Decomposition) -> dict:
     """The JSON wire format: each channel's weight and its four arrays as
     the channel holds them, so a loaded file gives the same arrays bit for bit."""
@@ -496,20 +498,14 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "gamma": float(d.gamma),
         "m": d.m,
         "channels": [
-            {
-                "weight": float(c),
-                "signs": ch.signs.tolist(),
-                "effects": _array_to_json(ch.effects),
-                "prep_probs": ch.prep_probs.tolist(),
-                "preps": _array_to_json(ch.preps),
+            {"weight": float(c)}
+            | {
+                key: _array_to_json(getattr(ch, key)) if kind == "c" else getattr(ch, key).tolist()
+                for key, kind in _CHANNEL_ARRAYS
             }
             for c, ch in d.channels
         ],
     }
-
-
-# the arrays of a channel entry, in MPChannel's order, with their dtype kinds
-_CHANNEL_ARRAYS = (("signs", "i"), ("effects", "c"), ("prep_probs", "f"), ("preps", "c"))
 
 
 def decomposition_from_json(data: dict) -> Decomposition:

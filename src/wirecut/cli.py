@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .channels import (
     BUILDERS,
+    PTM_TOL,
     build_decomposition,
     load_decomposition,
     verify_decomposition,
@@ -101,7 +102,7 @@ def cmd_verify(args) -> int:
     want_gamma, want_m = _CLOSED_FORMS[args.method](args.n)
     if args.method == "randomized":
         want_m = 25  # the default ensemble: 24 Cliffords + 1, above the 2-design bound
-    if residual < 1e-10 and gamma == want_gamma and m == want_m:
+    if residual < PTM_TOL and gamma == want_gamma and m == want_m:
         return EXIT_OK
     print("verification mismatch against closed forms", file=sys.stderr)
     return EXIT_MISMATCH

@@ -43,7 +43,7 @@ blocks are allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ from .channels import (
     Decomposition,
     _array_field,
     _array_to_json,
-    _field,
     _int_field,
     _list_field,
     _load_json,
@@ -161,20 +160,6 @@ class PostProcess:
         idx = np.arange(2**width)
         return cls(width, ((idx >> (width - k)) & 1).astype(float), f"bit:{k}")
 
-    @classmethod
-    def from_spec(cls, spec: str | Sequence[float], width: int) -> "PostProcess":
-        if isinstance(spec, str):
-            if spec == "parity":
-                return cls.parity(width)
-            if spec.startswith("bit:"):
-                try:
-                    k = int(spec[4:])
-                except ValueError:
-                    raise InvalidInputError(f"bit index in {spec!r} is not an integer") from None
-                return cls.bit(k, width)
-            raise InvalidInputError(f"unknown postprocess {spec!r}")
-        return cls(width, np.asarray(spec, dtype=float))
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -186,14 +171,7 @@ class EstimateReport:
     tallies: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "shots": self.shots,
-            "gamma_total": self.gamma_total,
-            "std_error": self.std_error,
-            "seed": self.seed,
-            "tallies": [list(t) for t in self.tallies],
-        }
+        return {**asdict(self), "tallies": [list(t) for t in self.tallies]}
 
 
 def _initial_state(width: int) -> np.ndarray:
@@ -553,7 +531,8 @@ def _range_field(obj, key: str, where: str) -> list[int]:
 
 
 def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
-    """Circuit and postprocess from the JSON circuit format.
+    """Circuit and postprocess from the JSON circuit format, whose `f` is
+    "parity" (the default), "bit:k" or "table", with a `table` of 2^width numbers.
 
     Malformed input raises InvalidInputError naming the field; the width is
     checked against MAX_SIM_QUBITS before anything of size 2^width exists.
@@ -569,18 +548,26 @@ def circuit_from_json(data: dict) -> tuple[LayeredCircuit, PostProcess]:
             raise InvalidInputError(f"field {where}qubits must lie in [1, {width}]")
         dim = 2 ** len(qubits)
         matrix = _array_field(entry, "matrix", where, "c", (dim, dim))
-        layers.append(CircuitLayer(qubits[0], matrix))
+        try:
+            layers.append(CircuitLayer(qubits[0], matrix))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"field {where}matrix: {exc}") from None
     circuit = LayeredCircuit(width, tuple(layers))
     spec = data.get("f", "parity")
-    if spec == "table":
-        spec, key = _field(data, "table", ""), "table"
-    else:
-        key = "f"
+    bits = [f"bit:{k}" for k in range(1, width + 1)]
+    if spec == "parity":
+        return circuit, PostProcess.parity(width)
+    if spec in bits:
+        return circuit, PostProcess.bit(bits.index(spec) + 1, width)
+    if spec != "table":
+        raise InvalidInputError(
+            f'field f must be "parity", "bit:k" with k in [1, {width}], or "table"'
+        )
+    table = _array_field(data, "table", "", "f", (2**width,))
     try:
-        f = PostProcess.from_spec(spec, width)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"field {key}: {exc}") from None
-    return circuit, f
+        return circuit, PostProcess(width, table)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"field table: {exc}") from None
 
 
 def load_circuit(path) -> tuple[LayeredCircuit, PostProcess]:

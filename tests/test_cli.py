@@ -340,6 +340,8 @@ def _dense_term_format(data):
         ]
 
 
+F_FORMS = 'field f must be "parity", "bit:k" with k in [1, 3], or "table"'
+
 # case -> (which file is malformed, its text, what the error must name)
 MALFORMED = {
     "circuit_truncated": (
@@ -361,6 +363,20 @@ MALFORMED = {
         "field table: postprocess values must lie in [-1, 1]",
     ),
     "bad_postprocess": (*_circuit(lambda d: d.update(f="bit:x")), "field f"),
+    "f_not_string": (*_circuit(lambda d: d.update(f=5)), F_FORMS),
+    "f_null": (*_circuit(lambda d: d.update(f=None)), F_FORMS),
+    "table_text": (
+        *_circuit(lambda d: d.update(f="table", table=["1", "-1", "0.5"] + ["1"] * 5)),
+        "field table must be an array of 8 numbers",
+    ),
+    "table_wrong_length": (
+        *_circuit(lambda d: d.update(f="table", table=[1.0] * 7)),
+        "field table must be an array of 8 numbers",
+    ),
+    "matrix_not_unitary": (
+        *_layer(1, lambda l: l["matrix"][0].__setitem__(0, [2, 0])),
+        "field layers[1].matrix: layer matrix is not unitary",
+    ),
     "cuts_truncated": ("cuts", (DEMOS / "demo_cut.json").read_text()[:10], "not valid JSON"),
     "locations_missing": ("cuts", "{}", "locations"),
     "after_layer_missing": (

@@ -601,8 +601,10 @@ class TestJsonForms:
         positions, every matrix bit and the postprocess table."""
         width = circuit.width
         if kind == "table":
+            # signed zeros, the least subnormal and a value needing 17 digits
+            edges = st.just(([-0.0, 0.0, 5e-324, -1.0, 1 / 3] * 2**width)[: 2**width])
             table = st.lists(st.floats(-1.0, 1.0), min_size=2**width, max_size=2**width)
-            f = PostProcess(width, data.draw(table))
+            f = PostProcess(width, data.draw(table | edges))
         elif kind == "bit":
             f = PostProcess.bit(data.draw(st.integers(1, width)), width)
         else:
@@ -649,14 +651,20 @@ class TestJsonForms:
         def no_table(*args):
             raise AssertionError("postprocess table built before the width check")
 
-        monkeypatch.setattr(PostProcess, "from_spec", no_table)
-        with pytest.raises(InvalidInputError, match="width"):
-            circuit_from_json({"width": width, "layers": []})
+        for name in ("parity", "bit"):
+            monkeypatch.setattr(PostProcess, name, no_table)
+        monkeypatch.setattr(estimator, "_array_field", no_table)
+        for spec in ("parity", "bit:1", "table"):
+            with pytest.raises(InvalidInputError, match="width"):
+                circuit_from_json({"width": width, "layers": [], "f": spec})
 
-    @pytest.mark.parametrize("spec", ["bit:x", "bit:", "bit:1.5"])
+    @pytest.mark.parametrize("spec", ["bit:x", "bit:", "bit:1.5", "bit:0", "bit:4", "bit: 1", 5, None])
     def test_bad_bit_spec(self, spec):
-        with pytest.raises(InvalidInputError, match="bit index"):
-            PostProcess.from_spec(spec, 3)
+        """Anything but "parity", "bit:k" with k in [1, width], or "table" is
+        rejected by the circuit reader, naming f and the three forms."""
+        forms = r'field f must be "parity", "bit:k" with k in \[1, 3\], or "table"'
+        with pytest.raises(InvalidInputError, match=forms):
+            circuit_from_json({"width": 3, "layers": [], "f": spec})
 
     @pytest.mark.parametrize("value", [1.5, -2.0, np.nan, np.inf, -np.inf])
     def test_table_values_outside_the_unit_interval_rejected(self, value):
@@ -708,7 +716,7 @@ def cut_circuits(draw, max_width=4, methods=(("optimal1q", 1), ("mub", 1), ("mub
     locations.sort(key=lambda loc: (loc.after_layer, loc.first_wire))
     for a, b in zip(locations, locations[1:]):
         assume(a.after_layer != b.after_layer or a.first_wire + a.decomposition.n <= b.first_wire)
-    f = PostProcess.from_spec(draw(st.sampled_from(["parity", f"bit:{width}"])), width)
+    f = draw(st.sampled_from([PostProcess.parity(width), PostProcess.bit(width, width)]))
     return circuit, CutSpec(tuple(locations)), f
 
 
