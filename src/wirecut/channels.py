@@ -451,14 +451,17 @@ def _array_field(
     _array_to_json.  When `shape` is given, the array must have it.
 
     The value must be non-empty rectangular nested lists of JSON numbers:
-    ragged lists, text, null, objects and integers beyond 64 bits are
-    rejected.  Pairs are copied into the real and imaginary parts as they
+    ragged lists, text, null, booleans, objects and integers beyond 64 bits
+    are rejected.  Pairs are copied into the real and imaginary parts as they
     are, so every double, signed zeros included, comes back bit for bit.
     """
     value = _field(obj, key, where)
     try:
         array = np.array(value)
     except (ValueError, OverflowError):  # ragged, or nested past numpy's rank limit
+        array = np.empty(0)
+    # numpy reads [true, 1] as [1, 1], so booleans are looked for entry by entry
+    if array.dtype.kind in "iuf" and bool in map(type, np.array(value, dtype=object).flat):
         array = np.empty(0)
     if array.dtype.kind in "iuf":
         if kind == "c" and array.shape[-1:] == (2,):

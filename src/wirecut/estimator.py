@@ -23,12 +23,15 @@ over all its shots: the (lattice node, channel) keys are ranked by counting,
 not sorting; the cached outcome tables of the distinct keys are stacked; and
 every draw is the count of table entries <= its uniform, as from
 searchsorted(side="right"), by one branch-free binary search over all shots.
-The child nodes are numbered by ranking (key, outcome) and then (pair,
-prep), so no count array exceeds CHUNK_SHOTS x max(channels, outcomes,
-preps) bins.  The terminal draw counts in the stacked cumulative tables of
-the chunk's leaves, leaves x 2^W doubles.  A shot's value depends only on
-its own uniforms, so results are reproducible and independent of the chunk
-size.
+Every cumulative table ends at exactly 1.0 and every uniform is < 1, so the
+search leaves each table's last entry out: a 2-entry table is one gather and
+one compare.  The child nodes are numbered by ranking (key, outcome) and
+then, unless every channel of the location prepares one state per outcome,
+drawing the prep and ranking (pair, prep), so no count array exceeds
+CHUNK_SHOTS x max(channels, outcomes, preps) bins.  The terminal draw counts
+in the stacked cumulative tables of the chunk's leaves, leaves x 2^W
+doubles.  A shot's value depends only on its own uniforms, so results are
+reproducible and independent of the chunk size.
 
 The lattice of distinct intermediate states is built one cut level at a
 time: the level's missing child nodes are stacked as the columns of
@@ -342,18 +345,21 @@ def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
-def _count_le(tables: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _count_le(tables: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
     """For each i, the number of entries <= u[i] in the non-decreasing row
-    tables[rows[i]], which is searchsorted(side="right").  A branch-free
-    binary search for all i at once: ceil(log2(width)) + 1 gathers."""
-    flat, size = tables.ravel(), tables.shape[1]
-    start = rows * size
-    base = start.copy()
+    tables[rows[i]] (rows may be one int for all i), which is
+    searchsorted(side="right") when every row ends at exactly 1.0 and every
+    u[i] lies in [0, 1).  That last entry is then never counted, so a
+    branch-free binary search for all i at once covers the other width - 1
+    entries (a width-1 row reads its 1.0 and counts 0): one gather for
+    width 1 or 2, ceil(log2(width - 1)) + 1 beyond."""
+    flat, size = tables.ravel(), tables.shape[1] - 1
+    start = base = rows * (size + 1)
     while size > 1:
         half = size // 2
-        base += half * (flat[base + half] <= u)
+        base = base + half * (flat[half:].take(base) <= u)
         size -= half
-    return base - start + (flat[base] <= u)
+    return (base - start) + (flat.take(base) <= u)
 
 
 def _sample_chunk(
@@ -363,19 +369,21 @@ def _sample_chunk(
 
     Adds each location's channel counts to `tallies`.  Node ids index this
     chunk's per-level path list.  Each level ranks (node, channel), then
-    (row, outcome), then (row2, prep), so it asks for its children in
-    ascending (node, channel, outcome, prep) order and no bincount has more
-    than len(u) x max(m, O, P) bins, (m, O, P) being the prep table's shape.
+    (row, outcome), then, when P > 1, (pair, prep), so it asks for its
+    children in ascending (node, channel, outcome, prep) order and no
+    bincount has more than len(u) x max(m, O, P) bins, (m, O, P) being the
+    prep table's shape.  With P = 1 every prep is 0 and the prep uniform is
+    not read.
     """
     k = len(u)
     nodes = np.zeros(k, dtype=np.int64)
     paths: list[tuple] = [()]
     signs = np.ones(k)
-    # Every cumulative table ends at exactly 1.0 and the uniforms are < 1, so
-    # no count reaches a row's length, nor any padding.
+    # _count_le needs every table to end at exactly 1.0: the cumulative
+    # tables do, and the outcome rows are padded with 1.0
     for l_idx, loc in enumerate(engine.locations):
         m, n_out, n_prep = loc.prep_cum.shape
-        chan = np.searchsorted(loc.channel_cum, u[:, 3 * l_idx], side="right")
+        chan = _count_le(loc.channel_cum[None], 0, u[:, 3 * l_idx])
         tallies[l_idx] += np.bincount(chan, minlength=m)
         keys, row = _rank(nodes * m + chan, len(paths) * m)
         cums = np.ones((len(keys), n_out))
@@ -383,14 +391,17 @@ def _sample_chunk(
             cum = engine.outcomes(paths[key // m], key % m)[0]
             cums[i, : len(cum)] = cum
         out = _count_le(cums, row, u[:, 3 * l_idx + 1])
-        prep_rows = loc.prep_cum.reshape(m * n_out, n_prep)
-        prep = _count_le(prep_rows, chan * n_out + out, u[:, 3 * l_idx + 2])
-        signs *= loc.factors[chan, out]
-        pairs, row2 = _rank(row * n_out + out, len(keys) * n_out)
-        found, nodes = _rank(row2 * n_prep + prep, len(pairs) * n_prep)
-        pair = pairs[found // n_prep]
-        parent = keys[pair // n_out]
-        columns = (parent // m, parent % m, pair % n_out, found % n_prep)
+        chan_out = chan * n_out + out
+        signs *= loc.factors.ravel()[chan_out]
+        pairs, nodes = _rank(row * n_out + out, len(keys) * n_out)
+        preps = np.zeros_like(pairs)
+        if n_prep > 1:
+            prep_rows = loc.prep_cum.reshape(m * n_out, n_prep)
+            prep = _count_le(prep_rows, chan_out, u[:, 3 * l_idx + 2])
+            found, nodes = _rank(nodes * n_prep + prep, len(pairs) * n_prep)
+            pairs, preps = pairs[found // n_prep], found % n_prep
+        parent = keys[pairs // n_out]
+        columns = (parent // m, parent % m, pairs % n_out, preps)
         requests = zip(*(a.tolist() for a in columns))
         paths = engine.children([(paths[n], c, o, p) for n, c, o, p in requests])
     leaves = np.stack([engine.final_dist(path)[0] for path in paths])

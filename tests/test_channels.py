@@ -372,6 +372,16 @@ REJECTED = {
         lambda entry: entry.update(signs=[True, True]),
         "field channels[0].signs must be an array of integers",
     ),
+    # numpy would read a boolean among numbers as 1 or 0, a valid value here
+    "boolean_among_signs": (
+        lambda entry: entry.update(signs=[True, 1]),
+        "field channels[0].signs must be an array of integers",
+    ),
+    "boolean_prep_weight": (
+        edit("prep_probs", (0, 0), True),
+        "field channels[0].prep_probs must be an array of numbers",
+    ),
+    "boolean_in_pair": (edit("effects", (0, 0, 1), False), f"field channels[0].effects {PAIRS}"),
 }
 
 

@@ -14,6 +14,29 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
+# (method, cut width, `wirecut estimate` stdout without its newline)
+ESTIMATE_BYTES = [
+    ("mub", 1, '{"estimate": 0.9834, "gamma_total": 3.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.008962703146957227, "tallies": [[33185, 33205, 33610]]}'),
+    ("optimal1q", 1, '{"estimate": 0.9834, "gamma_total": 3.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.008962703146957227, "tallies": [[33185, 33205, 33610]]}'),
+    ("peng", 1, '{"estimate": 0.98544, "gamma_total": 4.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.01225930597423156, '
+     '"tallies": [[12414, 12363, 12492, 12531, 12394, 12641, 12614, 12551]]}'),
+    ("randomized", 1, '{"estimate": 0.9761, "gamma_total": 5.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.015507246455993611, "tallies": [[2495, 2393, 2530, 2477, 2519, 2469, '
+     '2538, 2466, 2443, 2447, 2527, 2478, 2498, 2527, 2462, 2522, 2551, 2457, 2523, 2478, '
+     '2557, 2485, 2465, 2454, 40239]]}'),
+    ("teleport", 1, '{"estimate": 0.9834, "gamma_total": 3.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.008962703146957227, "tallies": [[22079, 22159, 22152, 16815, 16795]]}'),
+    ("mub", 2, '{"estimate": 0.46277, "gamma_total": 7.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.015609598837470444, "tallies": [[14174, 14154, 14344, 14247, 43081]]}'),
+    ("teleport", 2, '{"estimate": 0.46977, "gamma_total": 7.0, "seed": 0, "shots": 100000, '
+     '"std_error": 0.015591802093213123, "tallies": [[3763, 3767, 3778, 3808, 3879, 3701, '
+     '3759, 3756, 3904, 3726, 3903, 3821, 3775, 3844, 3735, 3527, 3565, 3621, 3636, 3567, '
+     '3609, 3616, 3544, 3638, 3580, 3598, 3580]]}'),
+]
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -202,22 +225,26 @@ class TestExactAndEstimate:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    def test_two_wire_cut_demo_bytes(self, capsys):
-        """A 2-wire mub cut of the GHZ demo prints these bytes."""
+    @pytest.mark.parametrize(
+        "method, n, stdout", ESTIMATE_BYTES, ids=[f"{m}-{n}" for m, n, _ in ESTIMATE_BYTES]
+    )
+    def test_two_wire_cut_demo_bytes(self, capsys, method, n, stdout):
+        """Estimates at 100,000 shots and seed 0 print these bytes: every
+        builder on the one-wire cut of the demo circuit, and mub and
+        teleport on the 2-wire cut of the GHZ demo."""
+        circuit, cuts = {1: ("demo_circuit.json", "demo_cut.json"),
+                         2: ("demo_ghz.json", "demo_cut_2wire.json")}[n]
         code, out, _ = run(
             capsys,
             "estimate",
-            "--circuit", str(DEMOS / "demo_ghz.json"),
-            "--cuts", str(DEMOS / "demo_cut_2wire.json"),
-            "--method", "mub",
+            "--circuit", str(DEMOS / circuit),
+            "--cuts", str(DEMOS / cuts),
+            "--method", method,
             "--shots", "100000",
             "--seed", "0",
         )
         assert code == 0
-        assert out == (
-            '{"estimate": 0.46277, "gamma_total": 7.0, "seed": 0, "shots": 100000, '
-            '"std_error": 0.015609598837470444, "tallies": [[14174, 14154, 14344, 14247, 43081]]}\n'
-        )
+        assert out == stdout + "\n"
 
     def test_estimate_width_mismatch_from_file(self, capsys, tmp_path):
         from wirecut.channels import build_mub_default, save_decomposition
@@ -369,6 +396,14 @@ MALFORMED = {
         *_circuit(lambda d: d.update(f="table", table=["1", "-1", "0.5"] + ["1"] * 5)),
         "field table must be an array of 8 numbers",
     ),
+    "table_boolean": (
+        *_circuit(lambda d: d.update(f="table", table=[True] + [0.5] * 7)),
+        "field table must be an array of 8 numbers",
+    ),
+    "matrix_boolean_pair": (
+        *_layer(0, lambda l: l["matrix"][0].__setitem__(0, [True, 0.0])),
+        "field layers[0].matrix must be an array of 4 x 4 [re, im] pairs",
+    ),
     "table_wrong_length": (
         *_circuit(lambda d: d.update(f="table", table=[1.0] * 7)),
         "field table must be an array of 8 numbers",
@@ -426,6 +461,10 @@ MALFORMED = {
     "signs_missing": (*_channel(lambda c: c.pop("signs")), "missing field channels[0].signs"),
     "signs_not_integers": (
         *_channel(lambda c: c.update(signs=[1.0, 1.0])), "channels[0].signs must be an array"
+    ),
+    "signs_boolean": (
+        *_channel(lambda c: c.update(signs=[True, 1])),
+        "field channels[0].signs must be an array of integers",
     ),
     "signs_not_unit": (
         *_channel(lambda c: c.update(signs=[2, -2])), "channels[0]: outcome signs"

@@ -564,24 +564,27 @@ class TestSamplingHelpers:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_count_le_is_searchsorted_right(self, data):
-        """Per-row searchsorted(side="right") for rows of any length 1-70,
-        with ties, zero entries, 1.0 tails and uniforms equal to entries."""
-        width = data.draw(st.integers(1, 70))
+        """Per-row searchsorted(side="right") for rows of any length 1-70
+        that end at exactly 1.0, with ties, zero entries, 1.0 tails and
+        uniforms in [0, 1) equal to entries.  A one-row table is also
+        searched with the single row index 0, as the channel draw does."""
+        width = data.draw(st.sampled_from([1, 2]) | st.integers(1, 70))
         entry = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
         rows = []
         for _ in range(data.draw(st.integers(1, 3))):
             row = sorted(data.draw(st.lists(entry, min_size=width, max_size=width)))
-            tail = data.draw(st.integers(0, width))
+            tail = data.draw(st.integers(1, width))
             rows.append(row[: width - tail] + [1.0] * tail)
         tables = np.array(rows)
         shots = data.draw(st.integers(1, 30))
         which = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=shots, max_size=shots))
-        uniform = st.sampled_from(sorted(set(tables.ravel().tolist()))) | st.floats(
-            0.0, 1.0, exclude_max=True
-        )
-        u = data.draw(st.lists(uniform, min_size=shots, max_size=shots))
+        below_one = sorted({0.0, *tables.ravel().tolist()} - {1.0})
+        uniform = st.sampled_from(below_one) | st.floats(0.0, 1.0, exclude_max=True)
+        u = np.array(data.draw(st.lists(uniform, min_size=shots, max_size=shots)))
         want = [int(np.searchsorted(tables[r], x, side="right")) for r, x in zip(which, u)]
-        assert estimator._count_le(tables, np.array(which), np.array(u)).tolist() == want
+        assert estimator._count_le(tables, np.array(which), u).tolist() == want
+        if len(rows) == 1:
+            assert estimator._count_le(tables, 0, u).tolist() == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 40))
