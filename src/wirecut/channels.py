@@ -264,6 +264,11 @@ def build_optimal_1q() -> Decomposition:
     return Decomposition(1, channels, "optimal1q")
 
 
+def _check_builder_width(n: int) -> None:
+    if n > MAX_PTM_QUBITS:
+        raise ResourceLimitError(f"builder capped at {MAX_PTM_QUBITS} qubits")
+
+
 def build_mub_nq(
     n: int,
     partition: FamilyPartition,
@@ -271,8 +276,7 @@ def build_mub_nq(
 ) -> Decomposition:
     """The MUB decomposition: one channel per basis-change circuit plus one
     computational channel that prepares a uniform mixture excluding the outcome."""
-    if n > MAX_PTM_QUBITS:
-        raise ResourceLimitError(f"builder capped at {MAX_PTM_QUBITS} qubits")
+    _check_builder_width(n)
     if partition.n != n or len(circuits) != 2**n:
         raise InvalidInputError("need one circuit per non-Z family")
     for circ, fam in zip(circuits, partition.families[: 2**n]):
@@ -286,10 +290,12 @@ def build_mub_nq(
 
 
 def build_mub_default(n: int) -> Decomposition:
-    """Partition, synthesize and assemble the MUB decomposition in one call."""
+    """Partition, synthesize and assemble the MUB decomposition in one call;
+    the width cap is checked before the partition."""
     from .families import generate_partition
     from .synth import synthesize
 
+    _check_builder_width(n)
     part = generate_partition(n)
     circuits = [synthesize(f) for f in part.families[:-1]]
     return build_mub_nq(n, part, circuits)
@@ -335,8 +341,7 @@ def build_randomized_nq(
     Raises DesignViolationError when the set is not a 2-design, detected by
     the transfer-matrix residual.
     """
-    if n > MAX_PTM_QUBITS:
-        raise ResourceLimitError(f"builder capped at {MAX_PTM_QUBITS} qubits")
+    _check_builder_width(n)
     if not unitary_set:
         raise InvalidInputError("empty unitary set")
     dim = 2**n

@@ -177,23 +177,24 @@ class EstimateReport:
         return {**asdict(self), "tallies": [list(t) for t in self.tallies]}
 
 
-def _initial_state(width: int) -> np.ndarray:
-    return dense.basis_state(0, 2**width)
-
-
 def _apply_layers(state: np.ndarray, circuit: LayeredCircuit, lo: int, hi: int) -> np.ndarray:
     for layer in circuit.layers[lo:hi]:
         state = dense.apply_block(state, layer.matrix, layer.first, layer.span)
     return state
 
 
-def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
-    """Full statevector expectation of f over the terminal distribution."""
+def _simulate_from_zero(circuit: LayeredCircuit, f: PostProcess, hi: int) -> np.ndarray:
+    """|0...0> through the first `hi` layers, after both width checks."""
     if circuit.width > MAX_SIM_QUBITS:
         raise ResourceLimitError(f"simulation capped at {MAX_SIM_QUBITS} qubits")
     if f.width != circuit.width:
         raise InvalidInputError("postprocess width mismatch")
-    state = _apply_layers(_initial_state(circuit.width), circuit, 0, len(circuit.layers))
+    return _apply_layers(dense.basis_state(0, 2**circuit.width), circuit, 0, hi)
+
+
+def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
+    """Full statevector expectation of f over the terminal distribution."""
+    state = _simulate_from_zero(circuit, f, len(circuit.layers))
     return float(np.sum(np.abs(state) ** 2 * f.table))
 
 
@@ -236,23 +237,15 @@ class _CutEngine:
     enumeration: nodes are distinct intermediate states, memoized by path."""
 
     def __init__(self, circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess):
-        if circuit.width > MAX_SIM_QUBITS:
-            raise ResourceLimitError(f"simulation capped at {MAX_SIM_QUBITS} qubits")
-        if f.width != circuit.width:
-            raise InvalidInputError("postprocess width mismatch")
         for loc in cuts.locations:
             if not 0 <= loc.after_layer <= len(circuit.layers):
                 raise InvalidInputError("cut layer index out of range")
         self.circuit = circuit
         self.locations = [_RealizedLocation(loc, circuit.width) for loc in cuts.locations]
-        self.boundaries = [loc.after_layer for loc in cuts.locations]
+        # the layers after cut d are boundaries[d]:boundaries[d + 1], the last ending the circuit
+        self.boundaries = [loc.after_layer for loc in cuts.locations] + [len(circuit.layers)]
         self.gamma_total = cuts.gamma_total
-        root = _apply_layers(
-            _initial_state(circuit.width),
-            circuit,
-            0,
-            self.boundaries[0] if self.boundaries else len(circuit.layers),
-        )
+        root = _simulate_from_zero(circuit, f, self.boundaries[0])
         self._states: dict[tuple, np.ndarray] = {(): root}
         self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._final: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -302,8 +295,7 @@ class _CutEngine:
             raise ResourceLimitError("trajectory lattice exceeded the node cap")
         depth = len(new[0]) // 3 - 1
         loc = self.locations[depth]
-        lo = self.boundaries[depth]
-        hi = self.boundaries[depth + 1] if depth + 1 < len(self.boundaries) else len(self.circuit.layers)
+        lo, hi = self.boundaries[depth], self.boundaries[depth + 1]
         dim = 2**self.circuit.width
         columns = max(1, BLOCK_BYTES // (16 * dim))
         for start in range(0, len(new), columns):
@@ -337,12 +329,13 @@ class _CutEngine:
         return out
 
 
-def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of `keys` (all in [0, size)), ascending, and each
-    key's index among them: np.unique(keys, return_inverse=True), counted
-    in `size` bins rather than sorted."""
-    present = np.bincount(keys, minlength=size) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of `keys` (all in [0, size)), ascending, each key's
+    index among them and np.bincount(keys, minlength=size): np.unique(keys,
+    return_inverse=True) and the counts, counted in `size` bins, not sorted."""
+    counts = np.bincount(keys, minlength=size)
+    present = counts > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys], counts
 
 
 def _count_le(tables: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.ndarray:
@@ -384,8 +377,8 @@ def _sample_chunk(
     for l_idx, loc in enumerate(engine.locations):
         m, n_out, n_prep = loc.prep_cum.shape
         chan = _count_le(loc.channel_cum[None], 0, u[:, 3 * l_idx])
-        tallies[l_idx] += np.bincount(chan, minlength=m)
-        keys, row = _rank(nodes * m + chan, len(paths) * m)
+        keys, row, counts = _rank(nodes * m + chan, len(paths) * m)
+        tallies[l_idx] += counts.reshape(-1, m).sum(axis=0)
         cums = np.ones((len(keys), n_out))
         for i, key in enumerate(keys.tolist()):
             cum = engine.outcomes(paths[key // m], key % m)[0]
@@ -393,12 +386,12 @@ def _sample_chunk(
         out = _count_le(cums, row, u[:, 3 * l_idx + 1])
         chan_out = chan * n_out + out
         signs *= loc.factors.ravel()[chan_out]
-        pairs, nodes = _rank(row * n_out + out, len(keys) * n_out)
+        pairs, nodes, _ = _rank(row * n_out + out, len(keys) * n_out)
         preps = np.zeros_like(pairs)
         if n_prep > 1:
             prep_rows = loc.prep_cum.reshape(m * n_out, n_prep)
             prep = _count_le(prep_rows, chan_out, u[:, 3 * l_idx + 2])
-            found, nodes = _rank(nodes * n_prep + prep, len(pairs) * n_prep)
+            found, nodes, _ = _rank(nodes * n_prep + prep, len(pairs) * n_prep)
             pairs, preps = pairs[found // n_prep], found % n_prep
         parent = keys[pairs // n_out]
         columns = (parent // m, parent % m, pairs % n_out, preps)

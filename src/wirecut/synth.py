@@ -12,7 +12,7 @@ exceeds n + 2 on a fully connected device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,14 +47,12 @@ class Gate:
         return " ".join([self.name, *map(str, self.qubits)])
 
 
-def _asap_layers(gates: Sequence[Gate], n: int) -> tuple[tuple[Gate, ...], ...]:
+def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     """Pack a gate sequence into parallel layers, preserving per-qubit order."""
-    last_layer = [0] * (n + 1)  # 1-based qubits
+    last_layer: dict[int, int] = {}
     layers: list[list[Gate]] = []
     for g in gates:
-        if any(q > n for q in g.qubits):
-            raise InvalidInputError("gate qubit index exceeds circuit width")
-        at = max(last_layer[q] for q in g.qubits) + 1
+        at = max(last_layer.get(q, 0) for q in g.qubits) + 1
         while len(layers) < at:
             layers.append([])
         layers[at - 1].append(g)
@@ -80,7 +78,7 @@ class CliffordCircuit:
 
     @classmethod
     def from_gates(cls, n: int, gates: Iterable[Gate]) -> "CliffordCircuit":
-        return cls(n, _asap_layers(tuple(gates), n))
+        return cls(n, _asap_layers(gates))
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -126,27 +124,29 @@ def gate_stats(circuit: CliffordCircuit) -> GateStats:
     )
 
 
-def _conjugate_masks(gate: Gate, z: int, x: int) -> tuple[int, int]:
-    """Phase-free conjugation by `gate` of the masks (z, x), bit q-1 = qubit q.
+def _conjugate_masks(gates: Iterable[Gate], z: int, x: int) -> tuple[int, int]:
+    """Phase-free conjugation of the masks (z, x), bit q-1 = qubit q, by each
+    of `gates` in turn.
 
-    The gate's qubits are not checked against the masks' width; callers do that.
+    The gates' qubits are not checked against the masks' width; callers do that.
     """
-    if gate.name == "H":
-        b = 1 << (gate.qubits[0] - 1)
-        zq, xq = z & b, x & b
-        z = (z & ~b) | xq
-        x = (x & ~b) | zq
-    elif gate.name == "SDG":
-        b = 1 << (gate.qubits[0] - 1)
-        if x & b:
-            z ^= b
-    else:
-        bi = 1 << (gate.qubits[0] - 1)
-        bj = 1 << (gate.qubits[1] - 1)
-        if x & bj:
-            z ^= bi
-        if x & bi:
-            z ^= bj
+    for gate in gates:
+        if gate.name == "H":
+            b = 1 << (gate.qubits[0] - 1)
+            zq, xq = z & b, x & b
+            z = (z & ~b) | xq
+            x = (x & ~b) | zq
+        elif gate.name == "SDG":
+            b = 1 << (gate.qubits[0] - 1)
+            if x & b:
+                z ^= b
+        else:
+            bi = 1 << (gate.qubits[0] - 1)
+            bj = 1 << (gate.qubits[1] - 1)
+            if x & bj:
+                z ^= bi
+            if x & bi:
+                z ^= bj
     return z, x
 
 
@@ -159,10 +159,7 @@ def conjugate_by_inverse(circuit: CliffordCircuit, p: PauliString) -> PauliStrin
     """
     if p.n != circuit.n:
         raise InvalidInputError("Pauli width does not match circuit")
-    z, x = p.zbits, p.xbits
-    for g in reversed(circuit.gates):
-        z, x = _conjugate_masks(g, z, x)
-    return PauliString(p.n, z, x)
+    return PauliString(p.n, *_conjugate_masks(circuit.gates[::-1], p.zbits, p.xbits))
 
 
 def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
@@ -298,10 +295,4 @@ def verify_diagonalizes_symplectic(circuit: CliffordCircuit, family: CommutingFa
     if circuit.n != family.n:
         return False
     gates = circuit.gates[::-1]  # conjugation by the inverse, as in conjugate_by_inverse
-    for g in family.generators:
-        z, x = g.zbits, g.xbits
-        for gate in gates:
-            z, x = _conjugate_masks(gate, z, x)
-        if x:
-            return False
-    return True
+    return not any(_conjugate_masks(gates, g.zbits, g.xbits)[1] for g in family.generators)

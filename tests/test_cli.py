@@ -99,6 +99,18 @@ class TestVerify:
         assert code == 0
         assert "gamma=15.0" in out and "m=9" in out
 
+    def test_mub_cap_exits_2_before_the_partition(self, capsys, monkeypatch):
+        from wirecut import families
+
+        def partition(n):
+            raise AssertionError("the partition ran past the width cap")
+
+        monkeypatch.setattr(families, "generate_partition", partition)
+        code, out, err = run(capsys, "verify", "--method", "mub", "--n", "12")
+        assert code == 2
+        assert out == ""
+        assert err == "error: builder capped at 6 qubits\n"
+
     def test_teleport_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--method", "teleport", "--n", "3")
         assert code == 2
@@ -245,6 +257,65 @@ class TestExactAndEstimate:
         )
         assert code == 0
         assert out == stdout + "\n"
+
+    def test_optimal1q_bytes_on_an_asymmetric_circuit(self, capsys, tmp_path):
+        """A 2-qubit circuit whose cut wire carries <X>, <Y> and <Z> all
+        nonzero, and whose layer after the cut tells |+i> from |-i>: the
+        estimate's bytes change if the order of either basis's two outcomes
+        does (the demo circuit's X and Y outcomes are symmetric)."""
+        import numpy as np
+
+        from wirecut.dense import CX_2Q
+        from wirecut.estimator import CircuitLayer, LayeredCircuit, PostProcess, circuit_to_json
+
+        b = 0.48 + 0.64j
+        u = np.array([[0.6, -np.conj(b)], [b, 0.6]])
+        circuit = LayeredCircuit(2, (CircuitLayer(1, u), CircuitLayer(1, u), CircuitLayer(1, CX_2Q)))
+        circuit_file, cuts_file = tmp_path / "circuit.json", tmp_path / "cuts.json"
+        circuit_file.write_text(json.dumps(circuit_to_json(circuit, PostProcess.bit(2, 2))))
+        cuts_file.write_text(json.dumps({"locations": [{"after_layer": 1, "wires": [1]}]}))
+        code, out, _ = run(
+            capsys,
+            "estimate",
+            "--circuit", str(circuit_file),
+            "--cuts", str(cuts_file),
+            "--method", "optimal1q",
+            "--shots", "100000",
+            "--seed", "0",
+        )
+        assert code == 0
+        assert out == (
+            '{"estimate": 0.9057, "gamma_total": 3.0, "seed": 0, "shots": 100000, '
+            '"std_error": 0.007194511290555259, "tallies": [[33185, 33205, 33610]]}\n'
+        )
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda ch: ch[0].update(weight=2.0), id="weight"),
+        pytest.param(lambda ch: ch[2].update(signs=[1, -1]), id="signs"),
+    ])
+    def test_file_off_the_identity_exit_1(self, capsys, tmp_path, edit):
+        """An optimal1q file with one channel edited sums to a channel
+        whose transfer matrix is off the identity by 1.0: the run stops before
+        sampling, with the residual on stderr and nothing on stdout."""
+        from wirecut.channels import build_optimal_1q, decomposition_to_json
+
+        data = decomposition_to_json(build_optimal_1q())
+        edit(data["channels"])
+        dec_file = tmp_path / "bad.json"
+        dec_file.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / "demo_circuit.json"),
+            "--cuts", str(DEMOS / "demo_cut.json"),
+            "--method", f"file:{dec_file}",
+            "--shots", "100000",
+        )
+        assert code == 1
+        assert out == ""
+        assert str(dec_file) in err
+        residual = float(err.split("residual=")[1].rstrip(")\n"))
+        assert abs(residual - 1.0) < 1e-9
 
     def test_estimate_width_mismatch_from_file(self, capsys, tmp_path):
         from wirecut.channels import build_mub_default, save_decomposition

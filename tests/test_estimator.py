@@ -590,10 +590,12 @@ class TestSamplingHelpers:
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 40))
     def test_rank_is_unique_with_inverse(self, keys, spare):
         keys = np.array(keys)
-        distinct, index = estimator._rank(keys, int(keys.max()) + 1 + spare)
+        size = int(keys.max()) + 1 + spare
+        distinct, index, counts = estimator._rank(keys, size)
         want, inverse = np.unique(keys, return_inverse=True)
         assert distinct.tolist() == want.tolist()
         assert index.tolist() == inverse.tolist()
+        assert counts.tolist() == [keys.tolist().count(v) for v in range(size)]
 
 
 class TestJsonForms:

@@ -27,7 +27,7 @@ from wirecut.synth import (
 
 def symplectic_conjugate(gate, p):
     """Phase-free action of conjugation by `gate` on a Pauli string."""
-    return PauliString(p.n, *_conjugate_masks(gate, p.zbits, p.xbits))
+    return PauliString(p.n, *_conjugate_masks([gate], p.zbits, p.xbits))
 
 
 def family_from_labels(*labels):
