@@ -265,6 +265,8 @@ def build_optimal_1q() -> Decomposition:
 
 
 def _check_builder_width(n: int) -> None:
+    if n < 1:
+        raise InvalidInputError(f"the cut width must be at least 1, got {n}")
     if n > MAX_PTM_QUBITS:
         raise ResourceLimitError(f"builder capped at {MAX_PTM_QUBITS} qubits")
 
@@ -377,6 +379,7 @@ def build_teleport_nq(n: int) -> Decomposition:
     with sign (-1)^(i.z).  The channel count 2^(2^n) + 4^n - 2^n - 1
     explodes, hence the n <= 2 guard.
     """
+    _check_builder_width(n)
     if n > 2:
         raise ResourceLimitError("teleport builder limited to n <= 2")
     dim = 2**n

@@ -109,16 +109,13 @@ class GateCountRow:
 
 
 def gate_count_bench(n_max: int) -> list[GateCountRow]:
-    """Max S-dagger / CZ / total gate counts over all synthesized circuits per n.
-
-    The circuits are not depth-scheduled: scheduling cannot change a gate count.
-    """
+    """Max S-dagger / CZ / total gate counts over all synthesized circuits per n."""
     if not 1 <= n_max <= MAX_TABLE_QUBITS:
         raise ResourceLimitError(f"nmax must be in 1..{MAX_TABLE_QUBITS}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         fams = generate_partition(n).families[:-1]
-        stats = [gate_stats(synthesize(f, optimize_depth=False)) for f in fams]
+        stats = [gate_stats(synthesize(f)) for f in fams]
         n_s = max(s.n_s for s in stats)
         n_cz = max(s.n_cz for s in stats)
         n_all = max(s.n_h + s.n_s + s.n_cz for s in stats)

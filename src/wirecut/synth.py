@@ -49,15 +49,16 @@ class Gate:
 
 def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     """Pack a gate sequence into parallel layers, preserving per-qubit order."""
-    last_layer: dict[int, int] = {}
+    free: dict[int, int] = {}  # qubit -> index of the first layer it is free in
     layers: list[list[Gate]] = []
     for g in gates:
-        at = max(last_layer.get(q, 0) for q in g.qubits) + 1
-        while len(layers) < at:
+        qs = g.qubits
+        at = free.get(qs[0], 0) if len(qs) == 1 else max(free.get(qs[0], 0), free.get(qs[1], 0))
+        for q in qs:
+            free[q] = at + 1
+        if at == len(layers):
             layers.append([])
-        layers[at - 1].append(g)
-        for q in g.qubits:
-            last_layer[q] = at
+        layers[at].append(g)
     return tuple(tuple(layer) for layer in layers)
 
 
@@ -184,13 +185,14 @@ def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[i
     return [rounds[r] for r in sorted(rounds)]
 
 
-def synthesize(family: CommutingFamily, optimize_depth: bool = True) -> CliffordCircuit:
+def synthesize(family: CommutingFamily) -> CliffordCircuit:
     """Build the basis-change circuit for one family via Gaussian elimination.
 
     Column operations bring the X-block of the generator matrix to the
-    identity; the residual symmetric Z-block dictates the S-dagger and CZ
-    gates.  Fails with SynthesisError when the X-block is rank deficient,
-    which happens exactly when the family intersects the all-Z strings.
+    identity; the residual Z-block C, symmetric as the (commuting) columns
+    are, dictates the S-dagger and CZ gates.  Fails with SynthesisError when
+    the X-block is rank deficient, which happens exactly when the family
+    intersects the all-Z strings.
     """
     n = family.n
     # With the X bits high, a full-rank X-block puts every pivot in the X half,
@@ -198,37 +200,21 @@ def synthesize(family: CommutingFamily, optimize_depth: bool = True) -> Clifford
     basis = gf2_basis((g.xbits << n) | g.zbits for g in family.generators)
     if any(v >> n == 0 for v in basis):
         raise SynthesisError("X-block is rank deficient; family overlaps the all-Z strings")
-    cols = basis[::-1]  # column j: X part is qubit j + 1 alone, Z part is column j of C
-
-    c_block = [[(cols[j] >> i) & 1 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if c_block[i][j] != c_block[j][i]:
-                raise SynthesisError("Z-block is not symmetric; generators invalid")
+    cols = basis[::-1]  # column j: X part is qubit j + 1 alone; bit i is C[i][j]
 
     gates = [Gate("H", (q,)) for q in range(1, n + 1)]
-    gates += [Gate("SDG", (k,)) for k in range(1, n + 1) if c_block[k - 1][k - 1]]
+    gates += [Gate("SDG", (k,)) for k in range(1, n + 1) if cols[k - 1] >> (k - 1) & 1]
     cz_pairs = [
         (l, m)
         for l in range(1, n)
         for m in range(l + 1, n + 1)
-        if c_block[l - 1][m - 1]
+        if cols[m - 1] >> (l - 1) & 1
     ]
-    if optimize_depth:
-        for layer in edge_color_cz(cz_pairs, n):
-            gates += [Gate("CZ", pair) for pair in layer]
-        circuit = CliffordCircuit.from_gates(n, gates)
-        if circuit.depth > n + 2:
-            raise SynthesisError("depth bound n + 2 violated")
-    else:
-        gates += [Gate("CZ", pair) for pair in cz_pairs]
-        layers: list[tuple[Gate, ...]] = [tuple(gates[:n])]
-        rest = gates[n:]
-        sdg = tuple(g for g in rest if g.name == "SDG")
-        if sdg:
-            layers.append(sdg)
-        layers += [(g,) for g in rest if g.name == "CZ"]
-        circuit = CliffordCircuit(n, tuple(layers))
+    for layer in edge_color_cz(cz_pairs, n):
+        gates += [Gate("CZ", pair) for pair in layer]
+    circuit = CliffordCircuit.from_gates(n, gates)
+    if circuit.depth > n + 2:
+        raise SynthesisError("depth bound n + 2 violated")
     return circuit
 
 

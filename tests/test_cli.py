@@ -650,6 +650,14 @@ class TestRangeErrors:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("method", ["teleport", "mub"])
+    def test_verify_width_below_one_exit_2(self, capsys, method, n):
+        code, out, err = run(capsys, "verify", "--method", method, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the cut width must be at least 1, got {n}\n"
+
     def test_synth_zero_exit_2_before_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "circuits"
         code, out, err = run(capsys, "synth", "--n", "0", "--out", str(out_dir))

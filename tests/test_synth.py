@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wirecut import costs
 from wirecut.errors import InvalidInputError, SynthesisError
 from wirecut.families import CommutingFamily, generate_partition
 from wirecut.pauli import PauliString, to_dense
@@ -210,23 +211,26 @@ class TestSynthesizedPartitions:
             assert circ.depth <= n + 2
             assert verify_diagonalizes_symplectic(circ, fam)
 
-    def test_unoptimized_depth_keeps_gate_counts(self):
-        fam = generate_partition(4).families[2]
-        fast = synthesize(fam, optimize_depth=True)
-        slow = synthesize(fam, optimize_depth=False)
-        assert sorted(g.text() for g in fast.gates) == sorted(
-            g.text() for g in slow.gates
-        )
-        assert verify_diagonalizes(slow, fam)
+    def test_gate_count_bench_counts_scheduled_circuits(self, monkeypatch):
+        counted = []
+
+        def recording_gate_stats(circuit):
+            counted.append(circuit)
+            return gate_stats(circuit)
+
+        monkeypatch.setattr(costs, "gate_stats", recording_gate_stats)
+        costs.gate_count_bench(5)
+        assert len(counted) == sum(2**n for n in range(1, 6))
+        for circ in counted:
+            assert circ.depth <= circ.n + 2
+            assert CliffordCircuit.parse(circ.text(), circ.n) == circ
 
     def test_dependent_generators_rejected(self):
         x1 = PauliString.from_label("XI")
         with pytest.raises(InvalidInputError):
             synthesize(CommutingFamily(2, (x1, x1)))
 
-    def test_c_block_symmetric_is_enforced(self):
-        # anticommuting "generators" cannot form a CommutingFamily, so go
-        # through synthesize with a hand-built family of commuting strings
+    def test_independent_x_strings_synthesize(self):
         fam = CommutingFamily(
             2, (PauliString.from_label("XI"), PauliString.from_label("IX"))
         )
@@ -260,14 +264,13 @@ def one_gate_cases(draw):
 
 class TestSynthesisProperties:
     @settings(max_examples=100, deadline=None)
-    @given(regenerated_families(), st.booleans())
-    def test_circuit_depends_only_on_the_family(self, families, optimize_depth):
+    @given(regenerated_families())
+    def test_circuit_depends_only_on_the_family(self, families):
         fam, regenerated = families
-        circ = synthesize(regenerated, optimize_depth)
-        assert circ == synthesize(fam, optimize_depth)
+        circ = synthesize(regenerated)
+        assert circ == synthesize(fam)
         assert verify_diagonalizes_symplectic(circ, regenerated)
-        if optimize_depth:
-            assert circ.depth <= fam.n + 2
+        assert circ.depth <= fam.n + 2
 
     @settings(max_examples=200, deadline=None)
     @given(one_gate_cases())
