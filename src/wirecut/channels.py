@@ -581,8 +581,12 @@ def _randomized_default(n: int) -> Decomposition:
 
 
 def build_decomposition(method: str, n: int) -> Decomposition:
+    """The `method` decomposition of the n-wire identity.  A width below 1 is
+    refused here, for every method alike; each builder keeps its own cap."""
     if method not in BUILDERS:
         raise InvalidInputError(
             f"unknown method {method!r}; choose from {sorted(BUILDERS)}"
         )
+    if n < 1:
+        _check_builder_width(n)
     return BUILDERS[method](n)

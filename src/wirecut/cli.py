@@ -95,10 +95,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    d = build_decomposition(args.method, args.n)
-    residual = verify_decomposition(d)
+    """Residual of a built or saved decomposition; a built one is also held
+    to its closed-form (gamma, m), a saved one only to its residual."""
+    from_file = args.method.startswith("file:")
+    if from_file:
+        d, residual = _load_verified(args.method[5:])
+    else:
+        d = _decomposition_builder(args.method)(args.n)
+        residual = verify_decomposition(d)
     gamma, m = d.gamma, d.m
-    print(f"method={args.method} n={args.n} gamma={float(gamma)!r} m={m} residual={residual!r}")
+    print(f"method={args.method} n={d.n} gamma={float(gamma)!r} m={m} residual={residual!r}")
+    if from_file:
+        return EXIT_OK if residual < PTM_TOL else EXIT_MISMATCH
     want_gamma, want_m = _CLOSED_FORMS[args.method](args.n)
     if args.method == "randomized":
         want_m = 25  # the default ensemble: 24 Cliffords + 1, above the 2-design bound
@@ -108,17 +116,25 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+def _load_verified(path: str):
+    """The decomposition saved at `path` and its residual against the
+    identity, which goes to stderr, naming the file, when not below PTM_TOL."""
+    d = load_decomposition(path)
+    residual = verify_decomposition(d)
+    if not residual < PTM_TOL:
+        print(f"verification mismatch: {path}: the channels do not sum to the "
+              f"identity (residual={residual!r})", file=sys.stderr)
+    return d, residual
+
+
 def _decomposition_builder(method: str):
     """Builder from a method name, or from an exported JSON decomposition
     via the `file:PATH` form; None, with the residual on stderr, when the
     file's channels do not sum to the identity.  A method name is checked
     here, before any file is read, so the error names the flag and not a file."""
     if method.startswith("file:"):
-        d = load_decomposition(method[5:])
-        residual = verify_decomposition(d)
+        d, residual = _load_verified(method[5:])
         if not residual < PTM_TOL:
-            print(f"verification mismatch: {method[5:]}: the channels do not sum to the "
-                  f"identity (residual={residual!r})", file=sys.stderr)
             return None
 
         def from_file(n: int):
@@ -182,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("verify", help="verify a decomposition against closed forms")
-    p.add_argument("--method", required=True, choices=list(BUILDERS))
+    p.add_argument(
+        "--method",
+        required=True,
+        help="peng | optimal1q | mub | randomized | teleport | file:PATH "
+        "(an exported decomposition JSON: its residual only)",
+    )
     p.add_argument("--n", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 

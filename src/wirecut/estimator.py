@@ -29,9 +29,10 @@ one compare.  The child nodes are numbered by ranking (key, outcome) and
 then, unless every channel of the location prepares one state per outcome,
 drawing the prep and ranking (pair, prep), so no count array exceeds
 CHUNK_SHOTS x max(channels, outcomes, preps) bins.  The terminal draw counts
-in the stacked cumulative tables of the chunk's leaves, leaves x 2^W
-doubles.  A shot's value depends only on its own uniforms, so results are
-reproducible and independent of the chunk size.
+in the cumulative terminal rows of the chunk's leaves, leaves x 2^W doubles
+gathered by row index from the lattice's terminal tables.  A shot's value
+depends only on its own uniforms, so results are reproducible and
+independent of the chunk size.
 
 The lattice of distinct intermediate states is built one cut level at a
 time: the level's missing child nodes are stacked as the columns of
@@ -39,8 +40,14 @@ time: the level's missing child nodes are stacked as the columns of
 contraction per block rather than one per node.  The contraction acts on
 each column exactly as on a lone state, so a node's state is the same bit
 for bit whatever block it was built in; exact_expectation uses the same
-kernel.  The node cap MAX_TRAJECTORY_NODES is checked before a level's
-blocks are allocated.
+kernel.  A finished block becomes one (K, 2^W) array whose rows are its
+nodes' states.  A node's outcome table for a channel is built when first
+asked for, with the norm of each outcome row, which conditioning on that
+outcome divides by.  Each block of the last level also gets its terminal
+(cumulative, plain) tables, two (K, 2^W) arrays made by a few array
+operations over the whole block that give each row what its state alone
+would.  The node cap MAX_TRAJECTORY_NODES is checked before a level's
+blocks are allocated, and every new node is one dense.insert_block call.
 """
 
 from __future__ import annotations
@@ -234,7 +241,15 @@ class _RealizedLocation:
 
 class _CutEngine:
     """Trajectory lattice shared by the Monte-Carlo sampler and the exact
-    enumeration: nodes are distinct intermediate states, memoized by path."""
+    enumeration: nodes are distinct intermediate states, memoized by path.
+
+    A path is (channel, outcome, prep) per cut passed.  `_states` maps each
+    path to its state, a row of its block's array.  `_outcomes` maps (path,
+    channel) to that node's outcome table with its row norms, computed once
+    by outcomes().  The last level's leaves also sit in `_terminal`, one
+    (cumulative, plain) pair of arrays per block built by children(), and
+    `_leaves` maps a leaf to its (block, row) there.
+    """
 
     def __init__(self, circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess):
         for loc in cuts.locations:
@@ -247,14 +262,15 @@ class _CutEngine:
         self.gamma_total = cuts.gamma_total
         root = _simulate_from_zero(circuit, f, self.boundaries[0])
         self._states: dict[tuple, np.ndarray] = {(): root}
-        self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._final: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._terminal: list[tuple[np.ndarray, np.ndarray]] = []
+        self._leaves: dict[tuple, tuple[int, int]] = {}
 
-    def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cumulative probabilities, amplitudes) of channel `chan`'s outcomes
-        at node `path`.  Amplitude row o is the node's state with outcome o's
-        effect vector applied to the cut wires: the unnormalized state of the
-        other wires."""
+    def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cumulative probabilities, amplitudes, norms) of channel `chan`'s
+        outcomes at node `path`.  Amplitude row o is the node's state with
+        outcome o's effect vector applied to the cut wires: the unnormalized
+        state of the other wires; norms[o] is its np.linalg.norm."""
         key = path + (chan,)
         cached = self._outcomes.get(key)
         if cached is not None:
@@ -267,14 +283,15 @@ class _CutEngine:
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
         cum = np.cumsum(probs / total)
+        norms = np.array([np.linalg.norm(amp) for amp in amps])
         # the table reaches 1 at the last outcome children() can condition on, so
         # rounding leaves no mass on the impossible outcomes after it
         last = len(amps) - 1
-        while last > 0 and np.linalg.norm(amps[last]) < MIN_RESIDUAL_NORM:
+        while last > 0 and norms[last] < MIN_RESIDUAL_NORM:
             last -= 1
         cum[last:] = 1.0
-        self._outcomes[key] = (cum, amps)
-        return cum, amps
+        self._outcomes[key] = (cum, amps, norms)
+        return cum, amps, norms
 
     def children(self, requests: Sequence[tuple[tuple, int, int, int]]) -> list[tuple]:
         """Path keys of the nodes reached by distinct (path, channel, outcome,
@@ -283,8 +300,9 @@ class _CutEngine:
         The missing nodes are built together: each conditioned state gets its
         prepared state inserted, and the states, stacked as the columns of
         (2^W, K) blocks of at most BLOCK_BYTES, pass through the layers down
-        to the next cut as one block per layer.  The node cap is checked
-        before any block exists.
+        to the next cut as one block per layer.  At the last cut level each
+        finished block also gets its terminal tables.  The node cap is
+        checked before any block exists.
         """
         keys = [path + (chan, outcome, prep) for path, chan, outcome, prep in requests]
         new = [key for key in keys if key not in self._states]
@@ -296,6 +314,7 @@ class _CutEngine:
         depth = len(new[0]) // 3 - 1
         loc = self.locations[depth]
         lo, hi = self.boundaries[depth], self.boundaries[depth + 1]
+        last_level = depth == len(self.locations) - 1
         dim = 2**self.circuit.width
         columns = max(1, BLOCK_BYTES // (16 * dim))
         for start in range(0, len(new), columns):
@@ -303,29 +322,44 @@ class _CutEngine:
             block = np.empty((dim, len(batch)), dtype=complex)
             for j, key in enumerate(batch):
                 chan, outcome, prep = key[-3:]
-                amp = self.outcomes(key[:-3], chan)[1][outcome]
-                norm = np.linalg.norm(amp)
+                _, amps, norms = self.outcomes(key[:-3], chan)
+                norm = norms[outcome]
                 if norm < MIN_RESIDUAL_NORM:
                     raise NumericFailureError("conditioned on a zero-probability outcome")
                 chi = loc.channels[chan].preps[outcome, prep]
-                block[:, j] = dense.insert_block(amp / norm, chi, loc.first, loc.span)
+                block[:, j] = dense.insert_block(amps[outcome] / norm, chi, loc.first, loc.span)
             # one contiguous row per node, so later contractions see the
             # memory layout a lone state has
             states = np.ascontiguousarray(_apply_layers(block, self.circuit, lo, hi).T)
+            del block
             self._states.update(zip(batch, states))
+            if last_level:
+                # row for row what a lone state's abs, square, sum and cumsum
+                # give, each step in place where it can be
+                probs = np.abs(states)
+                probs **= 2
+                probs /= probs.sum(axis=1, keepdims=True)
+                cum = np.cumsum(probs, axis=1)
+                cum[:, -1] = 1.0
+                block_id = len(self._terminal)
+                self._terminal.append((cum, probs))
+                self._leaves.update((key, (block_id, j)) for j, key in enumerate(batch))
         return keys
 
     def final_dist(self, path: tuple) -> tuple[np.ndarray, np.ndarray]:
         """(cumulative, plain) terminal outcome distribution at a leaf node."""
-        cached = self._final.get(path)
-        if cached is not None:
-            return cached
-        probs = np.abs(self._states[path]) ** 2
-        probs = probs / probs.sum()
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        out = (cum, probs)
-        self._final[path] = out
+        block, row = self._leaves[path]
+        cum, probs = self._terminal[block]
+        return cum[row], probs[row]
+
+    def terminal_cums(self, paths: Sequence[tuple]) -> np.ndarray:
+        """The cumulative terminal rows of the leaves `paths`, stacked in
+        order: one gather by row index per block they lie in."""
+        block, row = np.array([self._leaves[path] for path in paths]).T
+        out = np.empty((len(paths), 2**self.circuit.width))
+        for b in np.unique(block).tolist():
+            hit = block == b
+            out[hit] = self._terminal[b][0][row[hit]]
         return out
 
 
@@ -345,14 +379,18 @@ def _count_le(tables: np.ndarray, rows: np.ndarray | int, u: np.ndarray) -> np.n
     u[i] lies in [0, 1).  That last entry is then never counted, so a
     branch-free binary search for all i at once covers the other width - 1
     entries (a width-1 row reads its 1.0 and counts 0): one gather for
-    width 1 or 2, ceil(log2(width - 1)) + 1 beyond."""
-    flat, size = tables.ravel(), tables.shape[1] - 1
-    start = base = rows * (size + 1)
+    width 1 or 2, ceil(log2(width - 1)) + 1 beyond.  Past width 3 u, often
+    a strided column of the uniform rows, is first made contiguous, and the
+    search steps in place, so the copy adds no array to the peak."""
+    flat, width = tables.ravel(), tables.shape[1]
+    if width > 3:
+        u = np.ascontiguousarray(u)
+    base, size = rows * width, width - 1
     while size > 1:
         half = size // 2
-        base = base + half * (flat[half:].take(base) <= u)
+        base += half * (flat[half:].take(base) <= u)
         size -= half
-    return (base - start) + (flat.take(base) <= u)
+    return base + (flat.take(base) <= u) - rows * width
 
 
 def _sample_chunk(
@@ -397,8 +435,7 @@ def _sample_chunk(
         columns = (parent // m, parent % m, pairs % n_out, preps)
         requests = zip(*(a.tolist() for a in columns))
         paths = engine.children([(paths[n], c, o, p) for n, c, o, p in requests])
-    leaves = np.stack([engine.final_dist(path)[0] for path in paths])
-    return signs, _count_le(leaves, nodes, u[:, -1])
+    return signs, _count_le(engine.terminal_cums(paths), nodes, u[:, -1])
 
 
 def run_monte_carlo(
@@ -462,12 +499,12 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
         for path, weight in zip(paths, weights):
             for c, ch in enumerate(loc.channels):
                 w_chan = weight * chan_probs[c] * loc.signs[c]
-                cum, amps = engine.outcomes(path, c)
+                cum, _, norms = engine.outcomes(path, c)
                 out_probs = np.diff(cum, prepend=0.0)
-                for o, amp in enumerate(amps):
+                for o, norm in enumerate(norms.tolist()):
                     # rounding in the cumulative table can leave a sliver of mass on
                     # an outcome whose conditioned state is zero; it contributes nothing
-                    if out_probs[o] <= 0 or np.linalg.norm(amp) < MIN_RESIDUAL_NORM:
+                    if out_probs[o] <= 0 or norm < MIN_RESIDUAL_NORM:
                         continue
                     w_out = w_chan * ch.signs[o] * out_probs[o]
                     for p in np.flatnonzero(ch.prep_probs[o]).tolist():

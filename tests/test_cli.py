@@ -115,6 +115,45 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--method", "teleport", "--n", "3")
         assert code == 2
 
+    def test_saved_file_passes_on_its_residual(self, capsys, tmp_path):
+        """A saved file is held to its residual only: a mub n = 2 file passes
+        whatever --n says, with the builder's line but for the method."""
+        from wirecut.channels import build_mub_default, save_decomposition
+
+        dec_file = tmp_path / "mub2.json"
+        save_decomposition(build_mub_default(2), dec_file)
+        code, built, _ = run(capsys, "verify", "--method", "mub", "--n", "2")
+        assert code == 0
+        code, out, err = run(capsys, "verify", "--method", f"file:{dec_file}")
+        assert code == 0
+        assert err == ""
+        assert out == built.replace("method=mub", f"method=file:{dec_file}")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda ch: ch[0].update(weight=2.0), id="weight"),
+        pytest.param(lambda ch: ch[2].update(signs=[1, -1]), id="signs"),
+    ])
+    def test_saved_file_off_the_identity_exit_1(self, capsys, tmp_path, edit):
+        """The edited optimal1q files are off the identity by 1.0: the
+        residual line is printed and stderr names the file."""
+        from wirecut.channels import build_optimal_1q, decomposition_to_json
+
+        data = decomposition_to_json(build_optimal_1q())
+        edit(data["channels"])
+        dec_file = tmp_path / "bad.json"
+        dec_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--method", f"file:{dec_file}")
+        assert code == 1
+        assert out.startswith(f"method=file:{dec_file} n=1 ")
+        assert abs(float(out.split("residual=")[1]) - 1.0) < 1e-9
+        assert err.startswith(f"verification mismatch: {dec_file}: ")
+
+    def test_unknown_method_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "verify", "--method", "bogus")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --method: unknown method 'bogus'")
+
 
 class TestExactAndEstimate:
     def test_exact_demo(self, capsys):
@@ -651,7 +690,7 @@ class TestRangeErrors:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
-    @pytest.mark.parametrize("method", ["teleport", "mub"])
+    @pytest.mark.parametrize("method", ["peng", "optimal1q", "mub", "randomized", "teleport"])
     def test_verify_width_below_one_exit_2(self, capsys, method, n):
         code, out, err = run(capsys, "verify", "--method", method, "--n", n)
         assert code == 2

@@ -417,7 +417,7 @@ class TestUnbiasedness:
         )
         impossible = 0
         for c in range(len(engine.locations[0].signs)):
-            cum, amps = engine.outcomes((), c)
+            cum, amps, _ = engine.outcomes((), c)
             for width, amp in zip(np.diff(cum, prepend=0.0), amps):
                 if np.linalg.norm(amp) < estimator.MIN_RESIDUAL_NORM:
                     impossible += 1
@@ -837,6 +837,46 @@ class TestLatticeBatches:
         reference = outputs()
         monkeypatch.setattr(estimator, "BLOCK_BYTES", budget)
         assert outputs() == reference
+
+    def test_one_insert_per_node(self, monkeypatch):
+        """Each new node is one dense.insert_block call, the count the
+        benchmark reports as lattice nodes."""
+        calls, insert = [], dense.insert_block
+
+        def counted(*args):
+            calls.append(None)
+            return insert(*args)
+
+        monkeypatch.setattr(dense, "insert_block", counted)
+        enumerate_estimator_mean(*deep_three_cut_case())
+        assert len(calls) == 6 + 36 + 36 * 28
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_circuits(max_width=5), st.data())
+    def test_tables_equal_lone_recomputation(self, case, data):
+        """Every stored outcome norm is np.linalg.norm of its row, and every
+        terminal row, built a block at a time, is what the lone leaf state
+        gives, bit for bit; the stacked gather returns those rows."""
+        engine = estimator._CutEngine(*case)
+        state_bytes = 16 * 2 ** case[0].width
+        paths = [()]
+        with pytest.MonkeyPatch.context() as mp:
+            for depth in range(len(engine.locations)):
+                requests = level_requests(engine, paths, depth)
+                columns = data.draw(st.integers(1, max(1, len(requests))))
+                mp.setattr(estimator, "BLOCK_BYTES", columns * state_bytes)
+                paths = engine.children(requests)
+        for _, amps, norms in engine._outcomes.values():
+            assert [n.tobytes() for n in norms] == [np.linalg.norm(a).tobytes() for a in amps]
+        for path in paths:
+            probs = np.abs(engine._states[path]) ** 2
+            probs = probs / probs.sum()
+            cum = np.cumsum(probs)
+            cum[-1] = 1.0
+            assert [a.tobytes() for a in engine.final_dist(path)] == [cum.tobytes(), probs.tobytes()]
+        order = data.draw(st.permutations(paths))
+        stacked = np.stack([engine.final_dist(path)[0] for path in order])
+        assert engine.terminal_cums(order).tobytes() == stacked.tobytes()
 
     def test_node_cap_threshold(self, monkeypatch):
         """The cap counts the nodes below the root, as the lattice held them
