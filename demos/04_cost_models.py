@@ -9,7 +9,6 @@ of T(N) earlier, which is why the channel count matters alongside gamma^2.
 from wirecut import (
     TimeModelParams,
     gate_count_bench,
-    multi_cut_overhead,
     overhead_table,
     predict_time,
 )
@@ -25,10 +24,11 @@ for method in ("peng", "randomized", "mub", "teleport"):
 print("  (cells are gamma^2/m; randomized m is its 2-design lower bound)\n")
 
 print("independent single-wire cuts multiply the overhead:")
+per_cut = {r.method: r.gamma_sq for r in overhead_table(1)}  # mub at n = 1 is optimal1q
 for k in (1, 2, 3):
     print(
-        f"  k={k}: original {multi_cut_overhead('peng', k):>6}   "
-        f"optimal {multi_cut_overhead('optimal1q', k):>5}"
+        f"  k={k}: original {per_cut['peng'] ** k:>6}   "
+        f"optimal {per_cut['mub'] ** k:>5}"
     )
 
 print("\nexecution time T = T_C + T_Q (t_c=1, t_q=0.01) around the m threshold:")

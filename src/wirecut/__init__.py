@@ -27,7 +27,6 @@ from .costs import (
     TimeModelParams,
     channel_count_bound,
     gate_count_bench,
-    multi_cut_overhead,
     overhead_table,
     predict_time,
 )
@@ -57,14 +56,12 @@ from .families import (
     FamilyPartition,
     expand_family,
     generate_partition,
-    mub_overlap_check,
     validate_partition,
 )
 from .pauli import (
     PauliString,
     commutes,
     pauli_vector,
-    to_dense,
 )
 from .synth import (
     CliffordCircuit,
@@ -74,7 +71,6 @@ from .synth import (
     edge_color_cz,
     gate_stats,
     synthesize,
-    verify_diagonalizes,
     verify_diagonalizes_symplectic,
 )
 

@@ -524,7 +524,9 @@ def decomposition_from_json(data: dict) -> Decomposition:
 
     Malformed input raises InvalidInputError naming the field; `n` is checked
     against MAX_PTM_QUBITS before any array is parsed, and each channel's
-    arrays are checked by MPChannel's construction.
+    arrays are checked by MPChannel's construction.  `gamma` and `m` may be
+    left out; when present they must equal the loaded channels' one-norm
+    (to a relative 1e-12) and count.
     """
     n = _int_field(data, "n", "")
     if not 1 <= n <= MAX_PTM_QUBITS:
@@ -543,7 +545,16 @@ def decomposition_from_json(data: dict) -> Decomposition:
         channels.append((float(weight), channel))
     if not channels:
         raise InvalidInputError("field channels must not be empty")
-    return Decomposition(n, tuple(channels), str(data.get("label", "custom")))
+    d = Decomposition(n, tuple(channels), str(data.get("label", "custom")))
+    if "m" in data and _int_field(data, "m", "") != d.m:
+        raise InvalidInputError(f"field m is {data['m']}, but the file has {d.m} channels")
+    if "gamma" in data:
+        gamma = data["gamma"]
+        if type(gamma) not in (int, float) or not math.isclose(gamma, d.gamma, rel_tol=1e-12):
+            raise InvalidInputError(
+                f"field gamma is {gamma!r}, but the channels' weights give {float(d.gamma)!r}"
+            )
+    return d
 
 
 def save_decomposition(d: Decomposition, path) -> None:

@@ -87,17 +87,6 @@ def overhead_table(n_max: int) -> list[MethodRow]:
     return rows
 
 
-def multi_cut_overhead(method: str, k_cuts: int, n_per_cut: int = 1) -> int:
-    """Total sampling overhead of k independent cuts: the per-cut gamma^2 powered."""
-    if method not in _CLOSED_FORMS:
-        raise InvalidInputError(f"unknown method {method!r}")
-    if k_cuts < 0 or n_per_cut < 1:
-        raise InvalidInputError("bad cut multiplicity")
-    if method == "optimal1q" and n_per_cut != 1:
-        raise InvalidInputError(f"optimal1q cuts one wire, got n_per_cut={n_per_cut}")
-    return _CLOSED_FORMS[method](n_per_cut)[0] ** (2 * k_cuts)
-
-
 @dataclass(frozen=True)
 class GateCountRow:
     n: int

@@ -247,8 +247,8 @@ class _CutEngine:
     path to its state, a row of its block's array.  `_outcomes` maps (path,
     channel) to that node's outcome table with its row norms, computed once
     by outcomes().  The last level's leaves also sit in `_terminal`, one
-    (cumulative, plain) pair of arrays per block built by children(), and
-    `_leaves` maps a leaf to its (block, row) there.
+    array of cumulative rows per block built by children(), and `_leaves`
+    maps a leaf to its (block, row) there.
     """
 
     def __init__(self, circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess):
@@ -263,7 +263,7 @@ class _CutEngine:
         root = _simulate_from_zero(circuit, f, self.boundaries[0])
         self._states: dict[tuple, np.ndarray] = {(): root}
         self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._terminal: list[tuple[np.ndarray, np.ndarray]] = []
+        self._terminal: list[np.ndarray] = []
         self._leaves: dict[tuple, tuple[int, int]] = {}
 
     def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,17 +340,20 @@ class _CutEngine:
                 probs **= 2
                 probs /= probs.sum(axis=1, keepdims=True)
                 cum = np.cumsum(probs, axis=1)
+                del probs
                 cum[:, -1] = 1.0
                 block_id = len(self._terminal)
-                self._terminal.append((cum, probs))
+                self._terminal.append(cum)
                 self._leaves.update((key, (block_id, j)) for j, key in enumerate(batch))
         return keys
 
     def final_dist(self, path: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(cumulative, plain) terminal outcome distribution at a leaf node."""
+        """(cumulative, plain) terminal outcome distribution at a leaf node; the
+        plain row is recomputed from the leaf's state, as children() computed it."""
         block, row = self._leaves[path]
-        cum, probs = self._terminal[block]
-        return cum[row], probs[row]
+        probs = np.abs(self._states[path]) ** 2
+        probs /= probs.sum()
+        return self._terminal[block][row], probs
 
     def terminal_cums(self, paths: Sequence[tuple]) -> np.ndarray:
         """The cumulative terminal rows of the leaves `paths`, stacked in
@@ -359,7 +362,7 @@ class _CutEngine:
         out = np.empty((len(paths), 2**self.circuit.width))
         for b in np.unique(block).tolist():
             hit = block == b
-            out[hit] = self._terminal[b][0][row[hit]]
+            out[hit] = self._terminal[b][row[hit]]
         return out
 
 

@@ -17,7 +17,7 @@ Families are ordered by the lexicographically smallest member's bit vector
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -79,11 +79,6 @@ def _trace_mask(n: int) -> int:
     return sum(_trace_by_squaring(1 << i, n) << i for i in range(n))
 
 
-def gf_trace(a: int, n: int) -> int:
-    """Field trace GF(2^n) -> GF(2): a + a^2 + ... + a^(2^(n-1))."""
-    return (a & _trace_mask(n)).bit_count() & 1
-
-
 @dataclass(frozen=True)
 class CommutingFamily:
     """One family: n generators spanning 2^n - 1 commuting non-identity strings.
@@ -101,10 +96,6 @@ class CommutingFamily:
         if any(g.n != self.n for g in self.generators):
             raise InvalidInputError("generator width mismatch")
         check_generators(self.generators)
-
-    @cached_property
-    def members(self) -> frozenset[PauliString]:
-        return _pauli_set(self.n, self.member_keys())
 
     def member_keys(self) -> np.ndarray:
         """All 2^n - 1 member masks (z << n) | x as a uint32 array, no Paulis built."""
@@ -250,28 +241,3 @@ def validate_partition(partition: FamilyPartition) -> None:
     all_keys = np.sort(np.concatenate([fam.member_keys() for fam in fams]))
     if len(all_keys) != 4**n - 1 or np.any(all_keys[1:] == all_keys[:-1]):
         raise InvalidInputError("families do not disjointly cover all strings")
-
-
-def mub_overlap_check(bases: Sequence[np.ndarray]) -> float:
-    """Max deviation | |<phi_i|psi_j>|^2 - 2^-n | over distinct basis pairs.
-
-    Each basis is passed as the unitary whose columns are its vectors.
-    """
-    if not bases:
-        raise InvalidInputError("no bases supplied")
-    dim = np.asarray(bases[0]).shape[0]
-    mats = []
-    for b in bases:
-        b = np.asarray(b, dtype=complex)
-        if b.shape != (dim, dim):
-            raise InvalidInputError("bases must share one square shape")
-        if np.max(np.abs(b.conj().T @ b - np.eye(dim))) > 1e-10:
-            raise InvalidInputError("basis matrix is not unitary")
-        mats.append(b)
-    target = 1.0 / dim
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlap = np.abs(mats[i].conj().T @ mats[j]) ** 2
-            worst = max(worst, float(np.max(np.abs(overlap - target))))
-    return worst

@@ -8,7 +8,7 @@ hermitian tensor product of single-qubit letters
 
 i.e. the phase (-i)^(z.x) of the Z^z X^x product is absorbed so every
 string has eigenvalues +-1.  Commutation is the symplectic inner product
-over GF(2).  Dense realizations back all of this as an oracle for small n.
+over GF(2).
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ MAX_DENSE_QUBITS = 10
 # letter -> (z, x)
 _LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
-
-_DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -78,16 +71,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     if p.n != q.n:
         raise InvalidInputError("qubit counts differ")
     return ((p.zbits & q.xbits).bit_count() + (q.zbits & p.xbits).bit_count()) % 2 == 0
-
-
-def to_dense(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the string; qubit 1 is the most significant factor."""
-    if p.n > MAX_DENSE_QUBITS:
-        raise ResourceLimitError(f"dense realization capped at {MAX_DENSE_QUBITS} qubits")
-    mat = _DENSE_1Q[p.label[0]]
-    for ch in p.label[1:]:
-        mat = np.kron(mat, _DENSE_1Q[ch])
-    return mat
 
 
 @functools.cache

@@ -19,7 +19,7 @@ import numpy as np
 from . import dense
 from .errors import InvalidInputError, ResourceLimitError, SynthesisError
 from .families import CommutingFamily
-from .pauli import MAX_DENSE_QUBITS, PauliString, gf2_basis, to_dense
+from .pauli import MAX_DENSE_QUBITS, gf2_basis
 
 _ARITY = {"H": 1, "SDG": 1, "CZ": 2}
 GATE_NAMES = tuple(_ARITY)
@@ -151,18 +151,6 @@ def _conjugate_masks(gates: Iterable[Gate], z: int, x: int) -> tuple[int, int]:
     return z, x
 
 
-def conjugate_by_inverse(circuit: CliffordCircuit, p: PauliString) -> PauliString:
-    """The string [U^dagger P U] with the phase dropped.
-
-    Conjugation by a gate and by its inverse act identically on the bit
-    vector (each action is a GF(2) involution), so the gates are applied
-    in reverse circuit order.
-    """
-    if p.n != circuit.n:
-        raise InvalidInputError("Pauli width does not match circuit")
-    return PauliString(p.n, *_conjugate_masks(circuit.gates[::-1], p.zbits, p.xbits))
-
-
 def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
     """Schedule CZ pairs into qubit-disjoint layers via K_n round-robin coloring.
 
@@ -234,42 +222,6 @@ def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     return mat
 
 
-def _is_signed_z_diagonal(mat: np.ndarray, n: int) -> bool:
-    """True iff mat equals +-D for some D in {I,Z}^n, entrywise within 1e-10."""
-    tol = 1e-10
-    dim = 2**n
-    off = mat - np.diag(np.diagonal(mat))
-    if np.max(np.abs(off)) > tol:
-        return False
-    diag = np.diagonal(mat)
-    if np.max(np.abs(np.abs(diag) - 1.0)) > tol or np.max(np.abs(diag.imag)) > tol:
-        return False
-    sign = 1.0 if diag[0].real > 0 else -1.0
-    pattern = diag.real / sign
-    s = 0
-    for q in range(n):
-        if pattern[1 << (n - 1 - q)] < 0:
-            s |= 1 << (n - 1 - q)
-    idx = np.arange(dim)
-    expect = np.where(np.bitwise_count(idx & s) & 1, -1.0, 1.0)
-    return bool(np.max(np.abs(pattern - expect)) <= tol)
-
-
-def verify_diagonalizes(circuit: CliffordCircuit, family: CommutingFamily) -> bool:
-    """Dense check: U^dagger P U is a signed {I,Z} string for every member."""
-    if family.n > MAX_DENSE_QUBITS:
-        raise ResourceLimitError("dense verification capped; use the symplectic check")
-    if circuit.n != family.n:
-        return False
-    u = circuit_unitary(circuit)
-    udg = u.conj().T
-    for p in family.members:
-        conj = udg @ to_dense(p) @ u
-        if not _is_signed_z_diagonal(conj, family.n):
-            return False
-    return True
-
-
 def verify_diagonalizes_symplectic(circuit: CliffordCircuit, family: CommutingFamily) -> bool:
     """Phase-free check that every member maps into the all-Z strings.
 
@@ -280,5 +232,5 @@ def verify_diagonalizes_symplectic(circuit: CliffordCircuit, family: CommutingFa
     """
     if circuit.n != family.n:
         return False
-    gates = circuit.gates[::-1]  # conjugation by the inverse, as in conjugate_by_inverse
+    gates = circuit.gates[::-1]  # U^dagger P U; each gate's mask action is an involution
     return not any(_conjugate_masks(gates, g.zbits, g.xbits)[1] for g in family.generators)

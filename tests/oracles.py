@@ -1,0 +1,79 @@
+"""Dense references that the tests hold the library's bit-level code to.
+
+Each one builds the full 2^n x 2^n matrices the library avoids, so they
+serve small n only: a Pauli string's matrix, the check that a circuit
+turns every member of a family into a signed Z-string, and how far a set
+of bases is from mutually unbiased.
+"""
+
+import numpy as np
+
+from wirecut.pauli import PauliString
+from wirecut.synth import circuit_unitary
+
+_LETTERS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli(p):
+    """The matrix of a PauliString or label, as the kron of its letters;
+    qubit 1 is the most significant factor."""
+    label = p if isinstance(p, str) else p.label
+    mat = _LETTERS[label[0]]
+    for ch in label[1:]:
+        mat = np.kron(mat, _LETTERS[ch])
+    return mat
+
+
+def family_members(family):
+    """The 2^n - 1 member strings of a CommutingFamily, as a frozenset."""
+    return frozenset(PauliString.from_label(s) for s in family.member_labels())
+
+
+def _is_signed_z_string(mat, n):
+    """True iff mat equals +-D for some D in {I,Z}^n, entrywise within 1e-10."""
+    tol = 1e-10
+    diag = np.diagonal(mat)
+    if np.max(np.abs(mat - np.diag(diag))) > tol:
+        return False
+    if np.max(np.abs(np.abs(diag) - 1.0)) > tol or np.max(np.abs(diag.imag)) > tol:
+        return False
+    pattern = diag.real / (1.0 if diag[0].real > 0 else -1.0)
+    s = 0
+    for q in range(n):
+        if pattern[1 << (n - 1 - q)] < 0:
+            s |= 1 << (n - 1 - q)
+    expect = np.where(np.bitwise_count(np.arange(2**n) & s) & 1, -1.0, 1.0)
+    return bool(np.max(np.abs(pattern - expect)) <= tol)
+
+
+def diagonalizes_dense(circuit, family):
+    """True iff U^dagger P U is a signed {I,Z} string for every member P."""
+    if circuit.n != family.n:
+        return False
+    u = circuit_unitary(circuit)
+    udg = u.conj().T
+    return all(
+        _is_signed_z_string(udg @ dense_pauli(p) @ u, family.n) for p in family_members(family)
+    )
+
+
+def mub_overlap_deviation(bases):
+    """Max | |<phi_i|psi_j>|^2 - 1/d | over distinct pairs of bases, each
+    given as the unitary whose columns are its vectors; ValueError when one
+    is not a unitary of the first one's shape."""
+    dim = np.asarray(bases[0]).shape[0]
+    mats = [np.asarray(b, dtype=complex) for b in bases]
+    for b in mats:
+        if b.shape != (dim, dim) or np.max(np.abs(b.conj().T @ b - np.eye(dim))) > 1e-10:
+            raise ValueError("each basis must be a unitary of one square shape")
+    worst = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            overlap = np.abs(mats[i].conj().T @ mats[j]) ** 2
+            worst = max(worst, float(np.max(np.abs(overlap - 1.0 / dim))))
+    return worst

@@ -24,11 +24,12 @@ from wirecut.channels import (
 from wirecut.costs import (
     TimeModelParams,
     channel_count_bound,
-    multi_cut_overhead,
     overhead_table,
     predict_time,
 )
 from wirecut.estimator import (
+    CutLocation,
+    CutSpec,
     PostProcess,
     demo_circuit,
     demo_cut,
@@ -36,16 +37,17 @@ from wirecut.estimator import (
     exact_expectation,
     run_monte_carlo,
 )
-from wirecut.families import CommutingFamily, expand_family, generate_partition, mub_overlap_check
+from wirecut.families import CommutingFamily, expand_family, generate_partition
 from wirecut.pauli import PauliString
 from wirecut.synth import (
     CliffordCircuit,
     circuit_unitary,
     gate_stats,
     synthesize,
-    verify_diagonalizes,
     verify_diagonalizes_symplectic,
 )
+
+from oracles import diagonalizes_dense, mub_overlap_deviation
 
 TOL = 1e-10
 
@@ -116,7 +118,7 @@ def test_criterion_3_synthesis_bounds():
             assert stats.n_cz <= n * (n - 1) // 2
             assert circ.depth <= n + 2
             if n <= 6:
-                assert verify_diagonalizes(circ, fam)
+                assert diagonalizes_dense(circ, fam)
             else:
                 assert verify_diagonalizes_symplectic(circ, fam)
     elapsed = time.monotonic() - start
@@ -130,7 +132,7 @@ def test_criterion_4_mub_property():
         part = generate_partition(n)
         bases = [circuit_unitary(synthesize(f)) for f in part.families[:-1]]
         bases.append(np.eye(2**n, dtype=complex))
-        deviation = mub_overlap_check(bases)
+        deviation = mub_overlap_deviation(bases)
         assert deviation < TOL, f"n={n}: deviation {deviation}"
     print("[PASS] criterion 4: MUB overlap deviation < 1e-10 for n <= 5")
 
@@ -150,7 +152,7 @@ def test_criterion_5_golden_fixtures():
                 f"golden/circuit_n{n}_U{idx:02d}.txt"
             )
             circ = CliffordCircuit.parse(circ_ref.read_text(), n)
-            assert verify_diagonalizes(circ, CommutingFamily(n, gens))
+            assert diagonalizes_dense(circ, CommutingFamily(n, gens))
     print("[PASS] criterion 5: golden fixtures load, expand and verify for n <= 4")
 
 
@@ -229,5 +231,6 @@ def test_criterion_8_cost_models():
         else:
             assert row.gamma_sq == (2 ** (row.n + 1) - 1) ** 2
             assert row.m == 2 ** (2**row.n) + 4**row.n - 2**row.n - 1
-    assert multi_cut_overhead("optimal1q", 3) == 729
+    three_wires = CutSpec(tuple(CutLocation(0, w, build_optimal_1q()) for w in (1, 2, 3)))
+    assert three_wires.gamma_total**2 == 729
     print("[PASS] criterion 8: cost models exact on the grid and tables")

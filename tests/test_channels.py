@@ -507,9 +507,45 @@ class TestValidationAndJson:
 
     @pytest.mark.parametrize("method, n", DECOMPOSE_CASES)
     def test_builder_output_round_trips_bit_for_bit(self, method, n):
+        """The arrays come back bit for bit, and so do the gamma and m the
+        file states, so the check on those two fields refuses no saved file."""
         d = built(method, n)
-        assert_same_arrays(decomposition_from_json(
-            json.loads(json.dumps(decomposition_to_json(d)))), d)
+        data = json.loads(json.dumps(decomposition_to_json(d)))
+        back = decomposition_from_json(data)
+        assert_same_arrays(back, d)
+        assert (float(back.gamma), back.m) == (data["gamma"], data["m"])
+
+    @pytest.mark.parametrize("field", ["gamma", "m"])
+    def test_gamma_and_m_may_be_left_out(self, field):
+        data = decomposition_to_json(build_mub_default(2))
+        del data[field]
+        back = decomposition_from_json(data)
+        assert (float(back.gamma), back.m) == (7.0, 5)
+
+    def test_gamma_within_relative_1e_12_loads(self):
+        data = decomposition_to_json(build_mub_default(2))
+        data["gamma"] = 7.0 * (1 + 5e-13)
+        assert decomposition_from_json(data).m == 5
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 999, "field gamma is 999, but the channels' weights give 7.0"),
+        ("gamma", 7.0 * (1 + 2e-12), "field gamma is 7.0000000000139995, but"),
+        ("gamma", "7.0", "field gamma is '7.0', but"),
+        ("gamma", True, "field gamma is True, but"),
+        ("gamma", float("nan"), "field gamma is nan, but"),
+        ("m", 1, "field m is 1, but the file has 5 channels"),
+        ("m", 5.0, "field m must be an integer"),
+        ("m", True, "field m must be an integer"),
+    ], ids=[
+        "gamma_off", "gamma_past_tolerance", "gamma_text", "gamma_boolean", "gamma_nan",
+        "m_off", "m_float", "m_boolean",
+    ])
+    def test_stated_gamma_and_m_must_match(self, field, value, message):
+        data = decomposition_to_json(build_mub_default(2))
+        data[field] = value
+        with pytest.raises(InvalidInputError) as excinfo:
+            decomposition_from_json(data)
+        assert str(excinfo.value).startswith(message)
 
     @settings(max_examples=30, deadline=None)
     @given(exported_decompositions())

@@ -37,6 +37,17 @@ ESTIMATE_BYTES = [
      '3609, 3616, 3544, 3638, 3580, 3598, 3580]]}'),
 ]
 
+def off_identity_optimal1q(edit):
+    """The optimal1q file with edit() applied to its channel list; its gamma
+    is the edited weights' one-norm, so only the residual is wrong."""
+    from wirecut.channels import build_optimal_1q, decomposition_to_json
+
+    data = decomposition_to_json(build_optimal_1q())
+    edit(data["channels"])
+    data["gamma"] = sum(abs(ch["weight"]) for ch in data["channels"])
+    return data
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -136,10 +147,7 @@ class TestVerify:
     def test_saved_file_off_the_identity_exit_1(self, capsys, tmp_path, edit):
         """The edited optimal1q files are off the identity by 1.0: the
         residual line is printed and stderr names the file."""
-        from wirecut.channels import build_optimal_1q, decomposition_to_json
-
-        data = decomposition_to_json(build_optimal_1q())
-        edit(data["channels"])
+        data = off_identity_optimal1q(edit)
         dec_file = tmp_path / "bad.json"
         dec_file.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "--method", f"file:{dec_file}")
@@ -147,6 +155,51 @@ class TestVerify:
         assert out.startswith(f"method=file:{dec_file} n=1 ")
         assert abs(float(out.split("residual=")[1]) - 1.0) < 1e-9
         assert err.startswith(f"verification mismatch: {dec_file}: ")
+
+    def test_randomized_held_to_its_24_clifford_m(self, capsys, monkeypatch):
+        """The three-basis 2-design {I, H, S H} sums to the identity with
+        gamma = 5 too, but its m = 4 is not the default ensemble's 25."""
+        from fractions import Fraction
+
+        import numpy as np
+
+        from wirecut import channels
+        from wirecut.dense import H_1Q, S_1Q
+
+        bases = (np.eye(2), H_1Q, S_1Q @ H_1Q)
+        three = channels.build_randomized_nq(1, [(u, Fraction(1, 3)) for u in bases])
+        monkeypatch.setitem(channels.BUILDERS, "randomized", lambda n: three)
+        code, out, err = run(capsys, "verify", "--method", "randomized", "--n", "1")
+        assert code == 1
+        assert out.startswith("method=randomized n=1 gamma=5.0 m=4 residual=")
+        assert float(out.split("residual=")[1]) < 1e-10
+        assert err == "verification mismatch against closed forms\n"
+
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 999, "field gamma is 999, but the channels' weights give 7.0"),
+        ("m", 1, "field m is 1, but the file has 5 channels"),
+    ], ids=["gamma", "m"])
+    def test_file_stating_another_gamma_or_m_exit_2(
+        self, capsys, tmp_path, command, field, value, message
+    ):
+        from wirecut.channels import build_mub_default, decomposition_to_json
+
+        data = decomposition_to_json(build_mub_default(2))
+        data[field] = value
+        dec_file = tmp_path / "mub2.json"
+        dec_file.write_text(json.dumps(data))
+        argv = ["--method", f"file:{dec_file}"]
+        if command == "estimate":
+            argv += [
+                "--circuit", str(DEMOS / "demo_ghz.json"),
+                "--cuts", str(DEMOS / "demo_cut_2wire.json"),
+                "--shots", "1000",
+            ]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {dec_file}: {message}\n"
 
     def test_unknown_method_names_the_flag(self, capsys):
         code, out, err = run(capsys, "verify", "--method", "bogus")
@@ -336,10 +389,7 @@ class TestExactAndEstimate:
         """An optimal1q file with one channel edited sums to a channel
         whose transfer matrix is off the identity by 1.0: the run stops before
         sampling, with the residual on stderr and nothing on stdout."""
-        from wirecut.channels import build_optimal_1q, decomposition_to_json
-
-        data = decomposition_to_json(build_optimal_1q())
-        edit(data["channels"])
+        data = off_identity_optimal1q(edit)
         dec_file = tmp_path / "bad.json"
         dec_file.write_text(json.dumps(data))
         code, out, err = run(

@@ -6,12 +6,13 @@ from wirecut.costs import (
     GateCountRow,
     TimeModelParams,
     gate_count_bench,
-    multi_cut_overhead,
     overhead_table,
     predict_time,
 )
+from wirecut.channels import build_decomposition
 from wirecut.cli import main
 from wirecut.errors import InvalidInputError, ResourceLimitError
+from wirecut.estimator import CutLocation, CutSpec
 
 
 class TestPredictTime:
@@ -108,26 +109,31 @@ class TestOverheadTable:
             assert rows[("mub", n)].m == d.m
 
 
+def cuts_overhead(method, k_cuts):
+    """gamma_total^2 of k one-wire `method` cuts side by side."""
+    d = build_decomposition(method, 1)
+    return CutSpec(tuple(CutLocation(0, w, d) for w in range(1, k_cuts + 1))).gamma_total ** 2
+
+
 class TestMultiCut:
+    """Independent cuts multiply: a CutSpec's gamma_total is the product of its cuts' gammas."""
+
     def test_three_optimal_cuts(self):
-        assert multi_cut_overhead("optimal1q", 3) == 729
-        assert multi_cut_overhead("mub", 3) == 729
+        assert cuts_overhead("optimal1q", 3) == 729
+        assert cuts_overhead("mub", 3) == 729
 
     def test_two_peng_cuts(self):
-        assert multi_cut_overhead("peng", 2) == 256
+        assert cuts_overhead("peng", 2) == 256
 
     def test_no_cuts(self):
-        assert multi_cut_overhead("mub", 0) == 1
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidInputError):
-            multi_cut_overhead("nope", 1)
+        assert cuts_overhead("mub", 0) == 1
 
     @pytest.mark.parametrize("n_per_cut", [2, 3, 12])
     def test_optimal1q_cuts_one_wire(self, n_per_cut):
-        with pytest.raises(InvalidInputError, match="optimal1q cuts one wire"):
-            multi_cut_overhead("optimal1q", 1, n_per_cut=n_per_cut)
-        assert multi_cut_overhead("mub", 1, n_per_cut=n_per_cut) == (2 ** (n_per_cut + 1) - 1) ** 2
+        with pytest.raises(InvalidInputError, match="single-wire only"):
+            build_decomposition("optimal1q", n_per_cut)
+        rows = {(r.method, r.n): r for r in overhead_table(n_per_cut)}
+        assert rows[("mub", n_per_cut)].gamma_sq == (2 ** (n_per_cut + 1) - 1) ** 2
 
 
 class TestGateCountBench:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wirecut.errors import InvalidInputError, ResourceLimitError
+from wirecut.errors import InvalidInputError
 from wirecut.pauli import (
     PauliString,
     commutes,
@@ -16,22 +16,14 @@ from wirecut.pauli import (
     gf2_independent,
     gf2_rank,
     pauli_vector,
-    to_dense,
 )
+
+from oracles import dense_pauli
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def dense_oracle(label):
-    """Independent kron build from the letter string."""
-    mats = {"I": I2, "X": X, "Y": Y, "Z": Z}
-    out = mats[label[0]]
-    for ch in label[1:]:
-        out = np.kron(out, mats[ch])
-    return out
 
 
 def all_strings(n):
@@ -42,7 +34,7 @@ def all_strings(n):
 def trace_loop(mat, n):
     """Tr[sigma_k mat] 2^(-n/2) one string at a time, from the kron oracle."""
     strings = all_strings(n)
-    return np.array([np.trace(dense_oracle(p.label) @ mat) for p in strings]) * 2.0 ** (-n / 2)
+    return np.array([np.trace(dense_pauli(p.label) @ mat) for p in strings]) * 2.0 ** (-n / 2)
 
 
 class TestEncoding:
@@ -62,7 +54,7 @@ class TestEncoding:
 
     def test_xy_bits_against_dense(self):
         p = PauliString(2, 0b10, 0b11)
-        np.testing.assert_allclose(to_dense(p), dense_oracle("XY"), atol=1e-14)
+        np.testing.assert_allclose(dense_pauli(p), np.kron(X, Y), atol=1e-14)
 
     def test_round_trip_exhaustive_small_n(self):
         for n in (1, 2):
@@ -100,30 +92,28 @@ class TestCommutation:
     def test_exhaustive_against_dense_commutator_n2(self):
         strings = all_strings(2)
         for p, q in itertools.product(strings, strings):
-            comm = to_dense(p) @ to_dense(q) - to_dense(q) @ to_dense(p)
+            comm = dense_pauli(p) @ dense_pauli(q) - dense_pauli(q) @ dense_pauli(p)
             assert commutes(p, q) == bool(np.max(np.abs(comm)) < 1e-12)
 
 
 class TestDense:
+    """The dense oracle itself: the matrices the other tests compare against."""
+
     def test_identity(self):
-        np.testing.assert_allclose(to_dense(PauliString.from_label("I")), I2)
+        np.testing.assert_allclose(dense_pauli(PauliString.from_label("I")), I2)
 
     def test_y_matrix(self):
-        np.testing.assert_allclose(to_dense(PauliString.from_label("Y")), Y)
+        np.testing.assert_allclose(dense_pauli(PauliString.from_label("Y")), Y)
 
     def test_kron_structure(self):
         np.testing.assert_allclose(
-            to_dense(PauliString.from_label("XZ")), np.kron(X, Z), atol=1e-14
+            dense_pauli(PauliString.from_label("XZ")), np.kron(X, Z), atol=1e-14
         )
-
-    def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
-            to_dense(PauliString(11, 0, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hermitian_unitary_traceless(self, n):
         for p in all_strings(n):
-            mat = to_dense(p)
+            mat = dense_pauli(p)
             np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
             np.testing.assert_allclose(mat @ mat, np.eye(2**n), atol=1e-14)
             eig = np.linalg.eigvalsh(mat)
@@ -261,5 +251,5 @@ class TestDenseProperties:
     @given(pauli_pairs())
     def test_commutes_matches_dense_commutator(self, pair):
         p, q = pair
-        a, b = to_dense(p), to_dense(q)
+        a, b = dense_pauli(p), dense_pauli(q)
         assert commutes(p, q) == bool(np.max(np.abs(a @ b - b @ a)) < 1e-12)

@@ -10,25 +10,31 @@ from hypothesis import strategies as st
 from wirecut import costs
 from wirecut.errors import InvalidInputError, SynthesisError
 from wirecut.families import CommutingFamily, generate_partition
-from wirecut.pauli import PauliString, to_dense
+from wirecut.pauli import PauliString
 from wirecut.synth import (
     GATE_NAMES,
     CliffordCircuit,
     Gate,
     _conjugate_masks,
     circuit_unitary,
-    conjugate_by_inverse,
     edge_color_cz,
     gate_stats,
     synthesize,
-    verify_diagonalizes,
     verify_diagonalizes_symplectic,
 )
+
+from oracles import dense_pauli, diagonalizes_dense, family_members
 
 
 def symplectic_conjugate(gate, p):
     """Phase-free action of conjugation by `gate` on a Pauli string."""
     return PauliString(p.n, *_conjugate_masks([gate], p.zbits, p.xbits))
+
+
+def dagger_conjugate(circuit, p):
+    """The string [U^dagger P U], phase dropped: the gates in reverse order,
+    the loop verify_diagonalizes_symplectic runs."""
+    return PauliString(p.n, *_conjugate_masks(circuit.gates[::-1], p.zbits, p.xbits))
 
 
 def family_from_labels(*labels):
@@ -42,18 +48,18 @@ class TestKnownCircuits:
         fam = family_from_labels("X")
         circ = synthesize(fam)
         assert [g.text() for g in circ.gates] == ["H 1"]
-        assert verify_diagonalizes(circ, fam)
+        assert diagonalizes_dense(circ, fam)
 
     def test_y_family_is_h_sdg(self):
         fam = family_from_labels("Y")
         circ = synthesize(fam)
         assert [g.text() for g in circ.gates] == ["H 1", "SDG 1"]
-        assert verify_diagonalizes(circ, fam)
+        assert diagonalizes_dense(circ, fam)
 
     def test_h_alone_fails_on_y(self):
         h_only = CliffordCircuit.from_gates(1, [Gate("H", (1,))])
-        assert verify_diagonalizes(h_only, family_from_labels("X"))
-        assert not verify_diagonalizes(h_only, family_from_labels("Y"))
+        assert diagonalizes_dense(h_only, family_from_labels("X"))
+        assert not diagonalizes_dense(h_only, family_from_labels("Y"))
 
     def test_two_qubit_yz_zx(self):
         fam = CommutingFamily(
@@ -61,7 +67,7 @@ class TestKnownCircuits:
         )
         circ = synthesize(fam)
         assert [g.text() for g in circ.gates] == ["H 1", "H 2", "SDG 1", "CZ 1 2"]
-        assert verify_diagonalizes(circ, fam)
+        assert diagonalizes_dense(circ, fam)
 
     def test_z_family_rejected(self):
         fam = generate_partition(2).families[-1]
@@ -86,9 +92,9 @@ class TestSymplecticAction:
         for letters in itertools.product("IXYZ", repeat=2):
             p = PauliString.from_label("".join(letters))
             out = symplectic_conjugate(Gate("CZ", (1, 2)), p)
-            conj = cz @ to_dense(p) @ cz.conj().T
+            conj = cz @ dense_pauli(p) @ cz.conj().T
             # agreement modulo a +-1 phase
-            ratio = conj @ np.linalg.inv(to_dense(out))
+            ratio = conj @ np.linalg.inv(dense_pauli(out))
             np.testing.assert_allclose(ratio, ratio[0, 0] * np.eye(4), atol=1e-12)
             assert abs(abs(ratio[0, 0]) - 1) < 1e-12
 
@@ -102,9 +108,9 @@ class TestSymplecticAction:
             u = circuit_unitary(circ)
             for z, x in rng.integers(0, 2**n, size=(10, 2)).tolist():
                 p = PauliString(n, z, x)
-                q = conjugate_by_inverse(circ, p)
-                conj = u.conj().T @ to_dense(p) @ u
-                ratio = conj @ np.linalg.inv(to_dense(q))
+                q = dagger_conjugate(circ, p)
+                conj = u.conj().T @ dense_pauli(p) @ u
+                ratio = conj @ np.linalg.inv(dense_pauli(q))
                 np.testing.assert_allclose(
                     ratio, ratio[0, 0] * np.eye(2**n), atol=1e-10
                 )
@@ -199,7 +205,7 @@ class TestSynthesizedPartitions:
             assert stats.n_s <= n
             assert stats.n_cz <= n * (n - 1) // 2
             assert circ.depth <= n + 2
-            assert verify_diagonalizes(circ, fam)
+            assert diagonalizes_dense(circ, fam)
             assert verify_diagonalizes_symplectic(circ, fam)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -235,7 +241,7 @@ class TestSynthesizedPartitions:
             2, (PauliString.from_label("XI"), PauliString.from_label("IX"))
         )
         circ = synthesize(fam)
-        assert verify_diagonalizes(circ, fam)
+        assert diagonalizes_dense(circ, fam)
 
 
 @st.composite
@@ -275,14 +281,18 @@ class TestSynthesisProperties:
     @settings(max_examples=200, deadline=None)
     @given(one_gate_cases())
     def test_bit_action_matches_circuit_action(self, case):
+        """The one-gate bit action is the dense U^dagger P U, up to a phase."""
         gate, p = case
-        circuit = CliffordCircuit.from_gates(p.n, [gate])
-        assert symplectic_conjugate(gate, p) == conjugate_by_inverse(circuit, p)
+        u = circuit_unitary(CliffordCircuit.from_gates(p.n, [gate]))
+        conj = u.conj().T @ dense_pauli(p) @ u
+        ratio = conj @ np.linalg.inv(dense_pauli(symplectic_conjugate(gate, p)))
+        np.testing.assert_allclose(ratio, ratio[0, 0] * np.eye(2**p.n), atol=1e-12)
+        assert abs(abs(ratio[0, 0]) - 1) < 1e-12
 
 
 def memberwise_verdict(circuit, family):
     """The reference the generator-wise check must equal: every member maps to x = 0."""
-    return all(conjugate_by_inverse(circuit, p).xbits == 0 for p in family.members)
+    return all(dagger_conjugate(circuit, p).xbits == 0 for p in family_members(family))
 
 
 @st.composite

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from wirecut.families import CommutingFamily, expand_family
 from wirecut.pauli import PauliString
-from wirecut.synth import CliffordCircuit, synthesize, verify_diagonalizes
+from wirecut.synth import CliffordCircuit, synthesize, verify_diagonalizes_symplectic
 
 # (generators, gate lines after the H layer on every qubit) per circuit,
 # transcribed from the reference tables
@@ -80,7 +80,7 @@ def main():
             circ = CliffordCircuit.parse(text, n)
             # cross-checks: the printed circuit must diagonalize its family and
             # carry exactly the gate set the synthesizer derives
-            assert verify_diagonalizes(circ, fam), (n, idx, "diagonalization")
+            assert verify_diagonalizes_symplectic(circ, fam), (n, idx, "diagonalization")
             synth = synthesize(fam)
             assert sorted(g.text() for g in circ.gates) == sorted(
                 g.text() for g in synth.gates
