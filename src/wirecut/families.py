@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .pauli import (
-    PauliString,
-    commutes,
-    gf2_basis,
-    gf2_independent,
-    gf2_rank,
-)
+from .pauli import PauliString, gf2_basis, gf2_independent, gf2_rank
 
 MAX_PARTITION_QUBITS = 12
 
@@ -100,7 +94,7 @@ class CommutingFamily:
     def member_keys(self) -> np.ndarray:
         """All 2^n - 1 member masks (z << n) | x as a uint32 array, no Paulis built."""
         n = self.n
-        return _span_keys([(g.zbits << n) | g.xbits for g in self.generators])
+        return _span_keys([(g.zbits << n) | g.xbits for g in self.generators])[1:]
 
     def member_labels(self) -> list[str]:
         """Sorted member labels, computed vectorized (cheap even at n = 12)."""
@@ -127,14 +121,18 @@ class FamilyPartition:
     families: tuple[CommutingFamily, ...]
 
 
-def _vector_int(p: PauliString) -> int:
-    """Bit vector (z_1..z_n,x_1..x_n) packed with position 1 most significant."""
-    out = 0
-    for bits in (p.zbits, p.xbits):  # bit q-1 is qubit q: reverse each mask
-        for _ in range(p.n):
-            out = (out << 1) | (bits & 1)
-            bits >>= 1
-    return out
+@lru_cache(maxsize=None)
+def _reversed_bits(n: int) -> tuple[int, ...]:
+    """Entry v is the n-bit value v with its bits in reverse order."""
+    return tuple(int(f"{v:0{n}b}"[::-1], 2) for v in range(1 << n))
+
+
+def _sort_key(fam: CommutingFamily) -> int:
+    """The family's smallest member as the bit vector (z_1..z_n, x_1..x_n),
+    position 1 most significant: the last vector of the reduced basis."""
+    n = fam.n
+    rev = _reversed_bits(n)  # bit q-1 of a mask is qubit q
+    return min(gf2_basis((rev[g.zbits] << n) | rev[g.xbits] for g in fam.generators))
 
 
 def check_generators(generators: Sequence[PauliString]) -> list[int]:
@@ -148,25 +146,42 @@ def check_generators(generators: Sequence[PauliString]) -> list[int]:
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise InvalidInputError("generator width mismatch")
-    vecs = [(g.zbits << n) | g.xbits for g in gens]
-    if not gf2_independent(vecs):
+    # With the X bits high, independent X-parts (every line family) put each
+    # vector's leading bit on its own pivot: one elimination step apiece.
+    swapped = [(g.xbits << n) | g.zbits for g in gens]
+    if not gf2_independent(swapped):
         raise InvalidInputError("generators are linearly dependent over GF(2)")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not commutes(gens[i], gens[j]):
+    # (z_p << n | x_p) & (x_q << n | z_q) holds z_p & x_q and x_p & z_q, so its
+    # popcount's parity is the symplectic form of p and q.
+    vecs = [(g.zbits << n) | g.xbits for g in gens]
+    for i, v in enumerate(vecs):
+        for w in swapped[i + 1 :]:
+            if (v & w).bit_count() & 1:
                 raise InvalidInputError("generators do not mutually commute")
     return vecs
 
 
-def _span_keys(vecs: Sequence[int]) -> np.ndarray:
-    """The 2^k - 1 non-zero GF(2) combinations of k independent packed vectors.
+def _span_keys(vecs: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The 2^k GF(2) combinations of k packed vectors, zero first, as uint32:
+    k ints give a (2^k,) array, a (k, F) array the combinations of each of
+    its F columns.
 
-    Combination j XORs the vectors at the set bits of j, as uint32.
+    Combination j XORs the vectors at the set bits of j.
     """
-    keys = np.zeros(1 << len(vecs), dtype=np.uint32)
-    for k, v in enumerate(vecs):
-        keys[1 << k : 2 << k] = keys[: 1 << k] ^ np.uint32(v)
-    return keys[1:]
+    vecs = np.asarray(vecs, dtype=np.uint32)
+    keys = np.zeros((1 << len(vecs),) + vecs.shape[1:], dtype=np.uint32)
+    for i, v in enumerate(vecs):
+        keys[1 << i : 2 << i] = keys[: 1 << i] ^ v
+    return keys
+
+
+def _marks_every_key(key_blocks: Iterable[np.ndarray], n: int) -> bool:
+    """True iff the blocks' keys, marked in a 4^n bitmap, include every
+    non-zero key below 4^n."""
+    seen = np.zeros(4**n, dtype=bool)
+    for keys in key_blocks:
+        seen[keys] = True
+    return bool(seen[1:].all())
 
 
 def _pauli_set(n: int, keys: np.ndarray) -> frozenset[PauliString]:
@@ -178,7 +193,7 @@ def expand_family(generators: Sequence[PauliString]) -> frozenset[PauliString]:
     """All non-identity products of the generators, phases dropped."""
     gens = tuple(generators)
     vecs = check_generators(gens)
-    return _pauli_set(gens[0].n, _span_keys(vecs))
+    return _pauli_set(gens[0].n, _span_keys(vecs)[1:])
 
 
 def _line_family(n: int, lam: int) -> CommutingFamily:
@@ -212,9 +227,7 @@ def generate_partition(n: int) -> FamilyPartition:
     if not 1 <= n <= MAX_PARTITION_QUBITS:
         raise ResourceLimitError(f"n must be in 1..{MAX_PARTITION_QUBITS}, got {n}")
     lines = [_line_family(n, lam) for lam in range(2**n)]
-    lines.sort(
-        key=lambda fam: min(gf2_basis(_vector_int(g) for g in fam.generators))
-    )
+    lines.sort(key=_sort_key)
     return FamilyPartition(n, tuple(lines) + (_z_family(n),))
 
 
@@ -237,7 +250,14 @@ def validate_partition(partition: FamilyPartition) -> None:
         # no member may fall in the all-Z strings: X-parts must be independent
         if gf2_rank([g.xbits for g in fam.generators]) != n:
             raise InvalidInputError("non-final family overlaps the all-Z strings")
-    # members are non-zero keys below 4^n, so 4^n - 1 distinct ones cover all
-    all_keys = np.sort(np.concatenate([fam.member_keys() for fam in fams]))
-    if len(all_keys) != 4**n - 1 or np.any(all_keys[1:] == all_keys[:-1]):
+    # The (2^n + 1)(2^n - 1) = 4^n - 1 members are non-zero (independent
+    # generators), so they are distinct when they mark every non-zero key.
+    # Keyed (x << n) | z, member (a << h) | b of each family, one per column,
+    # is high[a] ^ low[b]; one row of high at a time marks 2^h members of
+    # every family, and a line family's member j has x = j, so a block stays
+    # within 2^h rows of the bitmap.  Row a = 0 also marks key 0 (b = 0).
+    h = n // 2
+    gens = np.transpose([[(g.xbits << n) | g.zbits for g in fam.generators] for fam in fams])
+    low = _span_keys(gens[:h])
+    if not _marks_every_key((row ^ low for row in _span_keys(gens[h:])), n):
         raise InvalidInputError("families do not disjointly cover all strings")

@@ -40,11 +40,10 @@ class PauliString:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ResourceLimitError(f"qubit count {self.n} outside 1..{MAX_QUBITS}")
-        mask = (1 << self.n) - 1
-        if self.zbits & ~mask or self.xbits & ~mask:
-            raise InvalidInputError("bit masks exceed qubit count")
         if self.zbits < 0 or self.xbits < 0:
             raise InvalidInputError("bit masks must be nonnegative")
+        if (self.zbits | self.xbits) >> self.n:
+            raise InvalidInputError("bit masks exceed qubit count")
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -150,14 +149,19 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
                 break
             v ^= b
     order = sorted(pivots)
-    # Ascending pivots: the lower vectors are already fully reduced, so
-    # clearing one pivot bit never sets another.
-    for i, p in enumerate(order):
+    # Ascending pivots: the lower vectors are already fully reduced, so each
+    # carries exactly one pivot bit, and clearing the pivot bits v has below
+    # its own (v & below) in any order never sets another.
+    below = 0
+    for p in order:
         v = pivots[p]
-        for q in order[:i]:
-            if v >> q & 1:
-                v ^= pivots[q]
+        hit = v & below
+        while hit:
+            low = hit & -hit
+            v ^= pivots[low.bit_length() - 1]
+            hit ^= low
         pivots[p] = v
+        below |= 1 << p
     return [pivots[p] for p in reversed(order)]
 
 

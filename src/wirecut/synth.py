@@ -11,6 +11,7 @@ exceeds n + 2 on a fully connected device.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,19 +48,36 @@ class Gate:
         return " ".join([self.name, *map(str, self.qubits)])
 
 
+@functools.cache
+def _gate(name: str, *qubits: int) -> Gate:
+    """The Gate `name` on `qubits`, built and validated once per distinct gate:
+    synthesize asks for at most n (n + 3) / 2 of them at width n."""
+    return Gate(name, qubits)
+
+
 def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     """Pack a gate sequence into parallel layers, preserving per-qubit order."""
     free: dict[int, int] = {}  # qubit -> index of the first layer it is free in
+    get = free.get
     layers: list[list[Gate]] = []
     for g in gates:
         qs = g.qubits
-        at = free.get(qs[0], 0) if len(qs) == 1 else max(free.get(qs[0], 0), free.get(qs[1], 0))
-        for q in qs:
+        if len(qs) == 1:
+            (q,) = qs
+            at = get(q, 0)
             free[q] = at + 1
-        if at == len(layers):
-            layers.append([])
-        layers[at].append(g)
-    return tuple(tuple(layer) for layer in layers)
+        else:
+            a, b = qs
+            at = get(a, 0)
+            other = get(b, 0)
+            if other > at:
+                at = other
+            free[a] = free[b] = at + 1
+        if at < len(layers):
+            layers[at].append(g)
+        else:
+            layers.append([g])
+    return tuple(map(tuple, layers))
 
 
 @dataclass(frozen=True)
@@ -125,29 +143,29 @@ def gate_stats(circuit: CliffordCircuit) -> GateStats:
     )
 
 
-def _conjugate_masks(gates: Iterable[Gate], z: int, x: int) -> tuple[int, int]:
-    """Phase-free conjugation of the masks (z, x), bit q-1 = qubit q, by each
-    of `gates` in turn.
+def _conjugate_masks(gates: Iterable[Gate], z: int, x: int, ones: int = 1) -> tuple[int, int]:
+    """Phase-free conjugation of the masks (z, x) by each of `gates` in turn.
 
-    The gates' qubits are not checked against the masks' width; callers do that.
+    The masks pack one Pauli per block of equal width, bit q-1 of a block =
+    qubit q; `ones` has bit 0 of every block set (1 for a single Pauli), so
+    ones << (q - 1) selects qubit q of every block at once.  The gates'
+    qubits are not checked against the block width; callers do that.
     """
     for gate in gates:
-        if gate.name == "H":
-            b = 1 << (gate.qubits[0] - 1)
-            zq, xq = z & b, x & b
-            z = (z & ~b) | xq
-            x = (x & ~b) | zq
-        elif gate.name == "SDG":
-            b = 1 << (gate.qubits[0] - 1)
-            if x & b:
-                z ^= b
-        else:
-            bi = 1 << (gate.qubits[0] - 1)
-            bj = 1 << (gate.qubits[1] - 1)
-            if x & bj:
-                z ^= bi
-            if x & bi:
-                z ^= bj
+        i = gate.qubits[0]
+        col = ones << (i - 1)
+        if gate.name == "H":  # swap z_i and x_i
+            swap = (z ^ x) & col
+            z ^= swap
+            x ^= swap
+        elif gate.name == "SDG":  # z_i ^= x_i
+            z ^= x & col
+        else:  # CZ: z_i ^= x_j and z_j ^= x_i
+            d = gate.qubits[1] - i
+            if d < 0:
+                d = -d
+                col >>= d  # now the lower qubit's column
+            z ^= ((x >> d) & col) ^ ((x & col) << d)
     return z, x
 
 
@@ -164,13 +182,13 @@ def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[i
     for a, b in pairs:
         if a == b or not (1 <= a <= n and 1 <= b <= n):
             raise InvalidInputError(f"bad qubit pair {(a, b)}")
-        wanted.add((min(a, b), max(a, b)))
+        wanted.add((a, b) if a < b else (b, a))
     m = n + n % 2  # odd n gets a dummy vertex m - 1 that no pair touches
-    rounds: dict[int, list[tuple[int, int]]] = {}
+    half = m // 2
+    rounds: list[list[tuple[int, int]]] = [[] for _ in range(m - 1)]
     for a, b in sorted(wanted):
-        r = a - 1 if b == m else (a + b - 2) * (m // 2) % (m - 1)
-        rounds.setdefault(r, []).append((a, b))
-    return [rounds[r] for r in sorted(rounds)]
+        rounds[a - 1 if b == m else (a + b - 2) * half % (m - 1)].append((a, b))
+    return [r for r in rounds if r]
 
 
 def synthesize(family: CommutingFamily) -> CliffordCircuit:
@@ -190,16 +208,17 @@ def synthesize(family: CommutingFamily) -> CliffordCircuit:
         raise SynthesisError("X-block is rank deficient; family overlaps the all-Z strings")
     cols = basis[::-1]  # column j: X part is qubit j + 1 alone; bit i is C[i][j]
 
-    gates = [Gate("H", (q,)) for q in range(1, n + 1)]
-    gates += [Gate("SDG", (k,)) for k in range(1, n + 1) if cols[k - 1] >> (k - 1) & 1]
-    cz_pairs = [
-        (l, m)
-        for l in range(1, n)
-        for m in range(l + 1, n + 1)
-        if cols[m - 1] >> (l - 1) & 1
-    ]
+    gates = [_gate("H", q) for q in range(1, n + 1)]
+    gates += [_gate("SDG", k) for k in range(1, n + 1) if cols[k - 1] >> (k - 1) & 1]
+    cz_pairs = []  # (l, m) for l < m with C[l][m] = 1, read off column m's low bits
+    for m in range(2, n + 1):
+        below = cols[m - 1] & ((1 << (m - 1)) - 1)
+        while below:
+            low = below & -below
+            cz_pairs.append((low.bit_length(), m))
+            below ^= low
     for layer in edge_color_cz(cz_pairs, n):
-        gates += [Gate("CZ", pair) for pair in layer]
+        gates += [_gate("CZ", *pair) for pair in layer]
     circuit = CliffordCircuit.from_gates(n, gates)
     if circuit.depth > n + 2:
         raise SynthesisError("depth bound n + 2 violated")
@@ -228,9 +247,16 @@ def verify_diagonalizes_symplectic(circuit: CliffordCircuit, family: CommutingFa
     Phase-free conjugation is GF(2)-linear on the (z, x) vectors and the
     all-Z strings (x = 0) form a subspace, so the span of the generators
     maps into it exactly when each generator does: checking the n
-    generators is equivalent to checking all 2^n - 1 members.
+    generators is equivalent to checking all 2^n - 1 members.  They are
+    conjugated together, generator k in bits k n .. k n + n - 1 of the masks.
     """
-    if circuit.n != family.n:
+    n = family.n
+    if circuit.n != n:
         return False
+    z = x = 0
+    for k, g in enumerate(family.generators):
+        z |= g.zbits << k * n
+        x |= g.xbits << k * n
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit k n set for each k < n
     gates = circuit.gates[::-1]  # U^dagger P U; each gate's mask action is an involution
-    return not any(_conjugate_masks(gates, g.zbits, g.xbits)[1] for g in family.generators)
+    return _conjugate_masks(gates, z, x, ones)[1] == 0

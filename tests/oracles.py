@@ -3,7 +3,8 @@
 Each one builds the full 2^n x 2^n matrices the library avoids, so they
 serve small n only: a Pauli string's matrix, the check that a circuit
 turns every member of a family into a signed Z-string, and how far a set
-of bases is from mutually unbiased.
+of bases is from mutually unbiased.  One is a bit-level reference instead:
+the GF(2) reduction that back-substitutes over every lower pivot.
 """
 
 import numpy as np
@@ -77,3 +78,25 @@ def mub_overlap_deviation(bases):
             overlap = np.abs(mats[i].conj().T @ mats[j]) ** 2
             worst = max(worst, float(np.max(np.abs(overlap - 1.0 / dim))))
     return worst
+
+
+def gf2_basis_all_pivots(vectors):
+    """The fully reduced GF(2) basis, sorted descending, the plain way:
+    eliminate by leading bit, then clear each lower pivot bit of every
+    vector, testing all of the lower pivots one by one."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    order = sorted(pivots)
+    for i, p in enumerate(order):
+        v = pivots[p]
+        for q in order[:i]:
+            if v >> q & 1:
+                v ^= pivots[q]
+        pivots[p] = v
+    return [pivots[p] for p in reversed(order)]

@@ -314,6 +314,17 @@ ARRAY_REJECTED = {
     "effects_not_summing_to_identity": (
         edit("effects", 1, PLUS), "POVM effects do not sum to the identity"
     ),
+    # each of these is off by about 1e-8, inside any tolerance looser than
+    # the 1e-10 one the checks use
+    "prep_weights_summing_to_1_plus_1e-8": (
+        edit("prep_probs", 1, [0.5, 0.5 + 1e-8]), "prep weights must sum to 1"
+    ),
+    "zero_padding_prep_given_weight_1e-8": (
+        edit("prep_probs", 0, [1 - 1e-8, 1e-8]), "prep vectors must have unit norm"
+    ),
+    "effect_scaled_by_1_plus_1e-8": (
+        edit("effects", 1, MINUS * (1 + 1e-8)), "POVM effects do not sum to the identity"
+    ),
 }
 
 

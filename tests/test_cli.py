@@ -156,6 +156,17 @@ class TestVerify:
         assert abs(float(out.split("residual=")[1]) - 1.0) < 1e-9
         assert err.startswith(f"verification mismatch: {dec_file}: ")
 
+    def test_saved_file_off_by_1e_8_exit_1(self, capsys, tmp_path):
+        """A weight 1e-8 off gives a residual of about 1e-8: below 1e-6, but
+        not below PTM_TOL = 1e-10."""
+        data = off_identity_optimal1q(lambda ch: ch[0].update(weight=ch[0]["weight"] + 1e-8))
+        dec_file = tmp_path / "near.json"
+        dec_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--method", f"file:{dec_file}")
+        assert code == 1
+        assert 1e-9 < float(out.split("residual=")[1]) < 1e-7
+        assert err.startswith(f"verification mismatch: {dec_file}: ")
+
     def test_randomized_held_to_its_24_clifford_m(self, capsys, monkeypatch):
         """The three-basis 2-design {I, H, S H} sums to the identity with
         gamma = 5 too, but its m = 4 is not the default ensemble's 25."""

@@ -12,6 +12,7 @@ from wirecut.families import (
     _IRREDUCIBLE,
     CommutingFamily,
     FamilyPartition,
+    _marks_every_key,
     _line_family,
     _trace_by_squaring,
     _trace_mask,
@@ -23,7 +24,7 @@ from wirecut.families import (
 )
 from wirecut.pauli import PauliString, commutes
 
-from oracles import dense_pauli, family_members, mub_overlap_deviation
+from oracles import dense_pauli, family_members, gf2_basis_all_pivots, mub_overlap_deviation
 
 
 def product(p, q):
@@ -178,6 +179,13 @@ class TestGeneratePartition:
         with pytest.raises(InvalidInputError, match="disjointly cover"):
             validate_partition(FamilyPartition(2, (fams[0],) + fams[:3] + fams[-1:]))
 
+    def test_validate_rejects_one_string_twice_and_one_missing(self):
+        """At n = 1, (X, X, Z) has the right family count, a last all-Z
+        family and three keys, but X twice and no Y."""
+        x, z = (CommutingFamily(1, (PauliString.from_label(s),)) for s in "XZ")
+        with pytest.raises(InvalidInputError, match="disjointly cover"):
+            validate_partition(FamilyPartition(1, (x, x, z)))
+
     def test_validate_full_width(self):
         validate_partition(generate_partition(12))
 
@@ -276,6 +284,25 @@ class TestFamilyConstruction:
 
     @settings(max_examples=300, deadline=None)
     @given(generator_tuples())
+    def test_check_generators_is_a_rank_and_a_pairwise_commutes_check(self, case):
+        """Dependent tuples fail first, then non-commuting ones, as the
+        rank of the vectors (by the plain reduction) and `commutes` on
+        every pair say."""
+        n, gens = case
+        vecs = [(g.zbits << n) | g.xbits for g in gens]
+        if len(gf2_basis_all_pivots(vecs)) < len(gens):
+            message = "generators are linearly dependent over GF(2)"
+        elif not all(commutes(p, q) for p, q in itertools.combinations(gens, 2)):
+            message = "generators do not mutually commute"
+        else:
+            assert check_generators(gens) == vecs
+            return
+        with pytest.raises(InvalidInputError) as excinfo:
+            check_generators(gens)
+        assert str(excinfo.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_tuples())
     def test_construction_agrees_with_check_generators(self, case):
         n, gens = case
         try:
@@ -325,6 +352,16 @@ class TestPartitionProperties:
         with pytest.raises(InvalidInputError):
             fams[i], fams[j] = CommutingFamily(n, tuple(gens_i)), CommutingFamily(n, tuple(gens_j))
             validate_partition(FamilyPartition(n, tuple(fams)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_cover_rejects_one_key_twice_and_one_missing(self, n, data):
+        """The same key count, 4^n - 1, with one string overwritten by another."""
+        keys = np.concatenate([fam.member_keys() for fam in generate_partition(n).families])
+        assert _marks_every_key([keys], n)
+        i, j = data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=2, max_size=2, unique=True))
+        keys[i] = keys[j]
+        assert not _marks_every_key([keys], n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.data())

@@ -142,3 +142,22 @@ def test_partition_generators_pinned(n):
 
 def test_gate_count_rows_pinned():
     assert _sha256(repr(gate_count_bench(11))) == GATE_COUNT_11_SHA256
+
+
+# sha256, over n = 1..10 in partition order, of every synthesized circuit's
+# text() and of every family's member_keys() as little-endian uint32.
+# Recorded before the packed-integer GF(2) kernels, which keep every byte.
+CIRCUIT_TEXTS_SHA256 = "b114a3125f4660b631c887138a6255020ca15952b9dcd8f3c4d892b0e217478f"
+MEMBER_KEYS_SHA256 = "86ce2e745dedf130616c829f34333d2f6b5295b851128066188d69af971a7143"
+
+
+def test_circuit_texts_and_member_keys_pinned_to_n10():
+    texts, keys = hashlib.sha256(), hashlib.sha256()
+    for n in range(1, 11):
+        part = generate_partition(n)
+        for fam in part.families:
+            keys.update(fam.member_keys().astype("<u4").tobytes())
+        for fam in part.families[:-1]:
+            texts.update(synthesize(fam).text().encode())
+    assert texts.hexdigest() == CIRCUIT_TEXTS_SHA256
+    assert keys.hexdigest() == MEMBER_KEYS_SHA256

@@ -18,7 +18,7 @@ from wirecut.pauli import (
     pauli_vector,
 )
 
-from oracles import dense_pauli
+from oracles import dense_pauli, gf2_basis_all_pivots
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,6 +76,17 @@ class TestEncoding:
     def test_bad_label_rejected(self):
         with pytest.raises(InvalidInputError):
             PauliString.from_label("XQ")
+
+    @pytest.mark.parametrize("z, x, message", [
+        (-1, 0, "bit masks must be nonnegative"),
+        (0, -4, "bit masks must be nonnegative"),
+        (4, 0, "bit masks exceed qubit count"),
+        (0, 0b111, "bit masks exceed qubit count"),
+    ])
+    def test_bad_masks_name_the_fault(self, z, x, message):
+        """A negative mask is named as such, though it has bits above qubit 2."""
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            PauliString(2, z, x)
 
 
 class TestCommutation:
@@ -223,6 +234,11 @@ class TestGF2Properties:
         assert gf2_basis(other) == basis
         assert basis == sorted(set(basis), reverse=True)
         assert _span(basis) == _span(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**24 - 1), max_size=14))
+    def test_basis_equals_the_all_pivots_reduction(self, vectors):
+        assert gf2_basis(vectors) == gf2_basis_all_pivots(vectors)
 
     @settings(max_examples=300, deadline=None)
     @given(row_masks)

@@ -290,6 +290,39 @@ class TestSynthesisProperties:
         assert abs(abs(ratio[0, 0]) - 1) < 1e-12
 
 
+@st.composite
+def packed_cases(draw):
+    """n <= 6, a random H / SDG / CZ list on n qubits, and 1..n + 1 strings
+    as (z, x) mask pairs."""
+    n = draw(st.integers(1, 6))
+    names = GATE_NAMES if n > 1 else ("H", "SDG")
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=4 * n)):
+        k = 2 if name == "CZ" else 1
+        qubits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+        gates.append(Gate(name, tuple(qubits)))
+    masks = st.integers(0, 2**n - 1)
+    return n, gates, draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=n + 1))
+
+
+class TestPackedConjugation:
+    @settings(max_examples=300, deadline=None)
+    @given(packed_cases())
+    def test_k_strings_at_once_equal_k_single_runs(self, case):
+        """String k in bits k n .. k n + n - 1, `ones` with bit k n set for each."""
+        n, gates, strings = case
+        z = x = ones = 0
+        for k, (zk, xk) in enumerate(strings):
+            z |= zk << k * n
+            x |= xk << k * n
+            ones |= 1 << k * n
+        z, x = _conjugate_masks(gates, z, x, ones)
+        low = (1 << n) - 1
+        for k, (zk, xk) in enumerate(strings):
+            assert ((z >> k * n) & low, (x >> k * n) & low) == _conjugate_masks(gates, zk, xk)
+        assert (z | x) >> len(strings) * n == 0
+
+
 def memberwise_verdict(circuit, family):
     """The reference the generator-wise check must equal: every member maps to x = 0."""
     return all(dagger_conjugate(circuit, p).xbits == 0 for p in family_members(family))
