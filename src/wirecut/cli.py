@@ -173,7 +173,8 @@ def cmd_exact(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.bench == "overhead":
-        _write_text(_csv(["method", "n", "gamma_sq", "m"], overhead_table(args.nmax)), args.out)
+        header = ["method", "n", "gamma_sq", "m", "m_bound"]
+        _write_text(_csv(header, overhead_table(args.nmax)), args.out)
     elif args.bench == "gatecount":
         header = ["n", "NS_max", "NCZ_max", "Nall_max", "bound_CZ", "bound_all"]
         _write_text(_csv(header, gate_count_bench(args.nmax)), args.out)

@@ -51,6 +51,7 @@ class MethodRow:
     n: int
     gamma_sq: int
     m: int
+    m_bound: int  # channel_count_bound(n), which only mub's m attains
 
 
 # method -> n -> (gamma, m) of an n-wire cut
@@ -76,14 +77,15 @@ def channel_count_bound(n: int) -> int:
 
 
 def overhead_table(n_max: int) -> list[MethodRow]:
-    """Sampling overhead gamma^2 and channel count m for every method and n."""
+    """Sampling overhead gamma^2, channel count m and its lower bound for
+    every method and n."""
     if not 1 <= n_max <= MAX_TABLE_QUBITS:
         raise ResourceLimitError(f"nmax must be in 1..{MAX_TABLE_QUBITS}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         for method in METHOD_ORDER:
             gamma, m = _CLOSED_FORMS[method](n)
-            rows.append(MethodRow(method, n, gamma**2, m))
+            rows.append(MethodRow(method, n, gamma**2, m, channel_count_bound(n)))
     return rows
 
 

@@ -2,14 +2,16 @@
 
 Each one builds the full 2^n x 2^n matrices the library avoids, so they
 serve small n only: a Pauli string's matrix, the check that a circuit
-turns every member of a family into a signed Z-string, and how far a set
-of bases is from mutually unbiased.  One is a bit-level reference instead:
-the GF(2) reduction that back-substitutes over every lower pivot.
+turns every member of a family into a signed Z-string, how far a set of
+bases is from mutually unbiased, and a decomposition's transfer-matrix
+residual as one product of two dense stacks.  One is a bit-level
+reference instead: the GF(2) reduction that back-substitutes over every
+lower pivot.
 """
 
 import numpy as np
 
-from wirecut.pauli import PauliString
+from wirecut.pauli import PauliString, pauli_vector
 from wirecut.synth import circuit_unitary
 
 _LETTERS = {
@@ -100,3 +102,17 @@ def gf2_basis_all_pivots(vectors):
                 v ^= pivots[q]
         pivots[p] = v
     return [pivots[p] for p in reversed(order)]
+
+
+def single_product_residual(d):
+    """max |sum_i c_i PTM(E_i) - I| as one real product: the Pauli vectors
+    of every prep as a 4^n x T matrix times those of every effect, scaled by
+    c_i * a, as a T x 4^n matrix, T the total term count; imaginary parts,
+    which are rounding for hermitian terms, are dropped."""
+    preps, effects = [], []
+    for c, ch in d.channels:
+        dense_effects, dense_preps = ch.dense_terms()
+        preps.append(pauli_vector(dense_preps, d.n).real)
+        effects.append(float(c) * ch.signs[:, None] * pauli_vector(dense_effects, d.n).real)
+    total = np.concatenate(preps).T @ np.concatenate(effects)
+    return float(np.max(np.abs(total - np.eye(4**d.n))))

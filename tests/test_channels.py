@@ -28,6 +28,7 @@ from wirecut.channels import (
     single_qubit_clifford_group,
     verify_decomposition,
 )
+from wirecut.cli import main
 from wirecut.costs import channel_count_bound
 from wirecut.dense import basis_state, haar_unitary
 from wirecut.errors import (
@@ -36,7 +37,10 @@ from wirecut.errors import (
     ResourceLimitError,
 )
 from wirecut.families import generate_partition
+from wirecut.pauli import pauli_vector
 from wirecut.synth import synthesize
+
+from oracles import single_product_residual
 
 
 def projector(vec):
@@ -90,11 +94,49 @@ def _reference_residual(d):
     return float(np.max(np.abs(total - np.eye(4**d.n))))
 
 
+# the builders and widths the benchmark's decompose workload runs
+DECOMPOSE_CASES = [
+    ("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1), ("teleport", 2)
+] + [("mub", n) for n in range(1, 6)]
+built = cache(build_decomposition)
+
+
 REFERENCE_CASES = [
     pytest.param(partial(build_decomposition, method, n), id=f"{method}-{n}")
     for method, n in [("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1),
                       ("teleport", 2), ("mub", 1), ("mub", 2), ("mub", 3), ("mub", 4)]
 ]
+
+
+def reweighted(d, i, weight):
+    """d with channel i's weight replaced."""
+    chans = list(d.channels)
+    chans[i] = (weight, chans[i][1])
+    return Decomposition(d.n, tuple(chans), d.label)
+
+
+def near_identity(n, theta=1e-6):
+    """exp(-i theta H) for a seeded random hermitian H of dimension 2^n."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    vals, vecs = np.linalg.eigh(a + a.conj().T)
+    return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
+
+
+def rotated(d, which, u=None):
+    """d with the effect and prep vectors of the channels `which` sent
+    through u, a seeded Haar unitary by default."""
+    if u is None:
+        u = haar_unitary(2**d.n, np.random.default_rng(3))
+    chans = list(d.channels)
+    for i in which:
+        c, ch = chans[i]
+        chans[i] = (c, MPChannel(d.n, ch.signs, ch.effects @ u.T, ch.prep_probs, ch.preps @ u.T))
+    return Decomposition(d.n, tuple(chans), d.label)
+
+
+# measure Z, prepare the X eigenstate of the outcome: transfer matrix I -> I, Z -> X
+Z_TO_X = channels._pure_channel(1, [(1, basis_state(0, 2), PLUS), (1, basis_state(1, 2), MINUS)])
 
 
 class TestVerifyDecomposition:
@@ -103,19 +145,62 @@ class TestVerifyDecomposition:
         d = build()
         assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
 
-    def test_residual_needs_one_product_sized_array(self):
-        """Beyond the two 4^n x T stacks, the 4^n x 4^n product is the only
-        large array: np.abs into a new array would add a second one (numpy
-        reports its buffers to tracemalloc)."""
-        d = build_decomposition("mub", 5)
-        rows = sum(len(ch.signs) for _, ch in d.channels)
+    def test_residual_needs_the_accumulator_and_one_channels_stacks(self):
+        """At mub n = 5 the 4^n x 4^n accumulator is the only large array;
+        beside it come one channel's two complex (2^n, 4^n) Pauli stacks and
+        4 MiB for its dense terms, temporaries and the kept columns.  np.abs
+        into a new array, or the two dense 4^n x T stacks, would each add
+        8 MiB (numpy reports its buffers to tracemalloc)."""
+        d = built("mub", 5)
         tracemalloc.start()
         try:
             verify_decomposition(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 4**5 * (2 * rows + 4**5) + (4 << 20)
+        assert peak < 8 * 16**5 + 2 * 16 * 2**5 * 4**5 + (4 << 20)
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(partial(built, *case), id="-".join(map(str, case)))
+          for case in DECOMPOSE_CASES),
+        pytest.param(lambda: rotated(built("mub", 4), range(17)), id="haar-rotated-mub-4"),
+        pytest.param(lambda: rotated(Decomposition(1, ((3, Z_TO_X), (1, Z_TO_X)), "zx"), [1]),
+                     id="z-measure-x-prepare"),
+    ])
+    def test_matches_single_product(self, build):
+        """Grouped products over the supports read the residual of one dense
+        product, mub n = 5 included.  Every channel of the Haar-rotated mub
+        case has full supports; the last case pairs a channel whose prep and
+        effect supports differ ({I, X} and {I, Z}) with a rotated copy, so a
+        transfer matrix that is not symmetric goes through both paths; its
+        weight 3 makes the X <- Z entry the largest."""
+        d = build()
+        assert abs(verify_decomposition(d) - single_product_residual(d)) <= 1e-12
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda: reweighted(built("mub", 4), 0, 1 + 1e-8), id="weight_1e-8_off"),
+        pytest.param(lambda: rotated(built("mub", 4), [3], near_identity(4)),
+                     id="one_channel_near_identity_rotated"),
+        pytest.param(lambda: rotated(built("mub", 3), range(0, 9, 2)), id="half_haar_rotated"),
+    ])
+    def test_mutated_input_is_caught(self, capsys, tmp_path, mutate):
+        """Mutated mub files, sparse and full supports mixed, read the
+        single-product residual, at least 1e-9, and exit 1 under verify."""
+        d = mutate()
+        residual = verify_decomposition(d)
+        assert abs(residual - single_product_residual(d)) <= 1e-12
+        assert residual >= 1e-9
+        path = tmp_path / "mutated.json"
+        channels.save_decomposition(d, path)
+        assert main(["verify", "--method", f"file:{path}"]) == 1
+        assert f"residual={residual!r}" in capsys.readouterr().out
+
+    def test_near_identity_rotation_fills_the_support(self):
+        """The rotated channel of the mutation above has full supports."""
+        d = rotated(built("mub", 4), [3], near_identity(4))
+        effects, preps = d.channels[3][1].dense_terms()
+        for stack in (effects, preps):
+            assert pauli_vector(stack, 4).real.any(axis=0).all()
 
     def test_perturbed_weight_matches_reference(self):
         channels = list(build_peng_1q().channels)
@@ -394,13 +479,6 @@ REJECTED = {
     ),
     "boolean_in_pair": (edit("effects", (0, 0, 1), False), f"field channels[0].effects {PAIRS}"),
 }
-
-
-# the builders and widths the benchmark's decompose workload runs
-DECOMPOSE_CASES = [
-    ("peng", 1), ("optimal1q", 1), ("randomized", 1), ("teleport", 1), ("teleport", 2)
-] + [("mub", n) for n in range(1, 6)]
-built = cache(build_decomposition)
 
 
 @st.composite

@@ -698,7 +698,11 @@ class TestBench:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 13  # header + 4 methods x 3 n
-        assert lines[0] == "method,n,gamma_sq,m"
+        assert lines[0] == "method,n,gamma_sq,m,m_bound"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[4] for row in rows] == ["3"] * 4 + ["5"] * 4 + ["9"] * 4
+        # only mub's channel count meets the lower bound
+        assert [row[0] for row in rows if row[3] == row[4]] == ["mub"] * 3
 
     def test_timemodel_value(self, capsys):
         code, out, _ = run(

@@ -166,7 +166,7 @@ class TestCsv:
 
     def test_overhead_csv_shape(self, capsys):
         lines = self.bench(capsys, "overhead").split("\r\n")
-        assert lines[:2] == ["method,n,gamma_sq,m", "peng,1,16,8"]
+        assert lines[:2] == ["method,n,gamma_sq,m,m_bound", "peng,1,16,8,3"]
         assert len(lines) == 10 and lines[-1] == ""
 
     def test_gatecount_csv_shape(self, capsys):

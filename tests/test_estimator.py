@@ -65,6 +65,19 @@ class TestExactExpectation:
         with pytest.raises(ResourceLimitError):
             exact_expectation(LayeredCircuit(13, ()), PostProcess.parity(13))
 
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(exact_expectation, id="exact"),
+        pytest.param(lambda c, f: enumerate_estimator_mean(c, demo_cut(build_optimal_1q()), f),
+                     id="enumerate"),
+        pytest.param(lambda c, f: run_monte_carlo(c, demo_cut(build_optimal_1q()), f, 10),
+                     id="monte_carlo"),
+    ])
+    def test_postprocess_one_qubit_wider_is_refused(self, evaluate):
+        """Without the width check numpy would fail to broadcast a 2^4
+        table against 2^3 probabilities, with a bare ValueError."""
+        with pytest.raises(InvalidInputError, match="^postprocess width mismatch$"):
+            evaluate(demo_circuit(), PostProcess.parity(4))
+
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_layer_dimension_must_be_a_power_of_two(self, dim):
         with pytest.raises(InvalidInputError, match="not 2\\^k"):
