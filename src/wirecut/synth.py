@@ -12,7 +12,7 @@ exceeds n + 2 on a fully connected device.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -55,49 +55,46 @@ def _gate(name: str, *qubits: int) -> Gate:
     return Gate(name, qubits)
 
 
-def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
-    """Pack a gate sequence into parallel layers, preserving per-qubit order."""
-    free: dict[int, int] = {}  # qubit -> index of the first layer it is free in
-    get = free.get
-    layers: list[list[Gate]] = []
-    for g in gates:
-        qs = g.qubits
-        if len(qs) == 1:
-            (q,) = qs
-            at = get(q, 0)
-            free[q] = at + 1
-        else:
-            a, b = qs
-            at = get(a, 0)
-            other = get(b, 0)
-            if other > at:
-                at = other
-            free[a] = free[b] = at + 1
-        if at < len(layers):
-            layers[at].append(g)
-        else:
-            layers.append([g])
-    return tuple(map(tuple, layers))
-
-
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Layered H / S-dagger / CZ circuit; layers[0] acts first."""
+    """Layered H / S-dagger / CZ circuit on qubits 1..n; layers[0] acts first.
+
+    `CliffordCircuit(n, gates)` is the one way to build a circuit: the gate
+    sequence is packed as soon as possible, each gate one layer after the
+    latest earlier gate on its qubits.  So no layer uses a qubit twice and
+    each qubit's gates keep their order, by construction.
+    """
 
     n: int
-    layers: tuple[tuple[Gate, ...], ...]
+    gate_sequence: InitVar[Iterable[Gate]]
+    layers: tuple[tuple[Gate, ...], ...] = field(init=False)
 
-    def __post_init__(self):
-        for layer in self.layers:
-            qubits = [q for g in layer for q in g.qubits]
-            if max(qubits, default=0) > self.n:
-                raise InvalidInputError("gate qubit index exceeds circuit width")
-            if len(set(qubits)) != len(qubits):
-                raise InvalidInputError("qubit used twice within one layer")
-
-    @classmethod
-    def from_gates(cls, n: int, gates: Iterable[Gate]) -> "CliffordCircuit":
-        return cls(n, _asap_layers(gates))
+    def __post_init__(self, gate_sequence: Iterable[Gate]):
+        if self.n < 1:
+            raise InvalidInputError(f"the circuit width n must be at least 1, got {self.n}")
+        free: dict[int, int] = {}  # qubit -> index of the first layer it is free in
+        get = free.get
+        layers: list[list[Gate]] = []
+        for g in gate_sequence:
+            qs = g.qubits
+            if len(qs) == 1:
+                (q,) = qs
+                at = get(q, 0)
+                free[q] = at + 1
+            else:
+                a, b = qs
+                at = get(a, 0)
+                other = get(b, 0)
+                if other > at:
+                    at = other
+                free[a] = free[b] = at + 1
+            if at < len(layers):
+                layers[at].append(g)
+            else:
+                layers.append([g])
+        if max(free, default=0) > self.n:
+            raise InvalidInputError("gate qubit index exceeds circuit width")
+        object.__setattr__(self, "layers", tuple(map(tuple, layers)))
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -120,9 +117,9 @@ class CliffordCircuit:
             parts = line.split()
             try:
                 gates.append(Gate(parts[0].upper(), tuple(int(p) for p in parts[1:])))
-            except (ValueError, IndexError) as exc:
-                raise InvalidInputError(f"bad gate line {raw!r}") from exc
-        return cls.from_gates(n, gates)
+            except ValueError as exc:
+                raise InvalidInputError(f"bad gate line {raw!r}: {exc}") from exc
+        return cls(n, gates)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def synthesize(family: CommutingFamily) -> CliffordCircuit:
             below ^= low
     for layer in edge_color_cz(cz_pairs, n):
         gates += [_gate("CZ", *pair) for pair in layer]
-    circuit = CliffordCircuit.from_gates(n, gates)
+    circuit = CliffordCircuit(n, gates)
     if circuit.depth > n + 2:
         raise SynthesisError("depth bound n + 2 violated")
     return circuit

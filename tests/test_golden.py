@@ -149,15 +149,22 @@ def test_gate_count_rows_pinned():
 # Recorded before the packed-integer GF(2) kernels, which keep every byte.
 CIRCUIT_TEXTS_SHA256 = "b114a3125f4660b631c887138a6255020ca15952b9dcd8f3c4d892b0e217478f"
 MEMBER_KEYS_SHA256 = "86ce2e745dedf130616c829f34333d2f6b5295b851128066188d69af971a7143"
+# and of every synthesized circuit's gate count per layer, comma-separated,
+# one line per circuit: the text alone does not fix the depth.  Recorded
+# before CliffordCircuit packed its layers in its constructor.
+LAYER_COUNTS_SHA256 = "fd0a2717c3085ac6961e775aeb3eb8192653787170f54b0064910fa511d2c0b0"
 
 
 def test_circuit_texts_and_member_keys_pinned_to_n10():
-    texts, keys = hashlib.sha256(), hashlib.sha256()
+    texts, keys, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for n in range(1, 11):
         part = generate_partition(n)
         for fam in part.families:
             keys.update(fam.member_keys().astype("<u4").tobytes())
         for fam in part.families[:-1]:
-            texts.update(synthesize(fam).text().encode())
+            circ = synthesize(fam)
+            texts.update(circ.text().encode())
+            counts.update((",".join(str(len(layer)) for layer in circ.layers) + "\n").encode())
     assert texts.hexdigest() == CIRCUIT_TEXTS_SHA256
     assert keys.hexdigest() == MEMBER_KEYS_SHA256
+    assert counts.hexdigest() == LAYER_COUNTS_SHA256

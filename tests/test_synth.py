@@ -57,7 +57,7 @@ class TestKnownCircuits:
         assert diagonalizes_dense(circ, fam)
 
     def test_h_alone_fails_on_y(self):
-        h_only = CliffordCircuit.from_gates(1, [Gate("H", (1,))])
+        h_only = CliffordCircuit(1, [Gate("H", (1,))])
         assert diagonalizes_dense(h_only, family_from_labels("X"))
         assert not diagonalizes_dense(h_only, family_from_labels("Y"))
 
@@ -88,7 +88,7 @@ class TestSymplecticAction:
         assert out.label == "XZ"
 
     def test_cz_action_matches_dense(self):
-        cz = circuit_unitary(CliffordCircuit.from_gates(2, [Gate("CZ", (1, 2))]))
+        cz = circuit_unitary(CliffordCircuit(2, [Gate("CZ", (1, 2))]))
         for letters in itertools.product("IXYZ", repeat=2):
             p = PauliString.from_label("".join(letters))
             out = symplectic_conjugate(Gate("CZ", (1, 2)), p)
@@ -184,12 +184,12 @@ class TestEdgeColoring:
 
 class TestGateStats:
     def test_single_h(self):
-        circ = CliffordCircuit.from_gates(1, [Gate("H", (1,))])
+        circ = CliffordCircuit(1, [Gate("H", (1,))])
         s = gate_stats(circ)
         assert (s.n_h, s.n_s, s.n_cz, s.depth) == (1, 0, 0, 1)
 
     def test_h_then_sdg(self):
-        circ = CliffordCircuit.from_gates(1, [Gate("H", (1,)), Gate("SDG", (1,))])
+        circ = CliffordCircuit(1, [Gate("H", (1,)), Gate("SDG", (1,))])
         s = gate_stats(circ)
         assert (s.n_h, s.n_s, s.n_cz, s.depth) == (1, 1, 0, 2)
 
@@ -283,7 +283,7 @@ class TestSynthesisProperties:
     def test_bit_action_matches_circuit_action(self, case):
         """The one-gate bit action is the dense U^dagger P U, up to a phase."""
         gate, p = case
-        u = circuit_unitary(CliffordCircuit.from_gates(p.n, [gate]))
+        u = circuit_unitary(CliffordCircuit(p.n, [gate]))
         conj = u.conj().T @ dense_pauli(p) @ u
         ratio = conj @ np.linalg.inv(dense_pauli(symplectic_conjugate(gate, p)))
         np.testing.assert_allclose(ratio, ratio[0, 0] * np.eye(2**p.n), atol=1e-12)
@@ -323,6 +323,32 @@ class TestPackedConjugation:
         assert (z | x) >> len(strings) * n == 0
 
 
+class TestAsapPacking:
+    @settings(max_examples=300, deadline=None)
+    @given(packed_cases())
+    def test_layers_are_the_asap_packing_of_the_gates(self, case):
+        """Each gate sits one layer after the latest earlier gate on its
+        qubits, so no layer repeats a qubit and each qubit keeps its order."""
+        n, gates, _ = case
+        circ = CliffordCircuit(n, gates)
+        layer_of = {id(g): k for k, layer in enumerate(circ.layers) for g in layer}
+        assert sorted(layer_of) == sorted(map(id, gates))
+        for layer in circ.layers:
+            qubits = [q for g in layer for q in g.qubits]
+            assert len(set(qubits)) == len(qubits)
+        last = {}  # qubit -> layer of its latest gate so far, in input order
+        for g in gates:
+            expected = 1 + max((last[q] for q in g.qubits if q in last), default=-1)
+            assert layer_of[id(g)] == expected
+            last.update((q, expected) for q in g.qubits)
+        for q in range(1, n + 1):
+            assert [id(g) for g in circ.gates if q in g.qubits] == [
+                id(g) for g in gates if q in g.qubits
+            ]
+        assert CliffordCircuit(n, circ.gates) == circ
+        assert CliffordCircuit.parse(circ.text(), n) == circ
+
+
 def memberwise_verdict(circuit, family):
     """The reference the generator-wise check must equal: every member maps to x = 0."""
     return all(dagger_conjugate(circuit, p).xbits == 0 for p in family_members(family))
@@ -349,7 +375,7 @@ def verifier_cases(draw):
         k = 2 if name == "CZ" else 1
         qubits = draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
         gates.append(Gate(name, tuple(qubits)))
-    return CliffordCircuit.from_gates(n, gates), fam
+    return CliffordCircuit(n, gates), fam
 
 
 class TestGeneratorVerifier:
@@ -372,7 +398,7 @@ class TestGeneratorVerifier:
                 assert verdict == memberwise_verdict(circ, fam) == (i == j)
 
     def test_random_circuit_true_on_z_family(self):
-        circ = CliffordCircuit.from_gates(3, [Gate("SDG", (2,)), Gate("CZ", (1, 3))])
+        circ = CliffordCircuit(3, [Gate("SDG", (2,)), Gate("CZ", (1, 3))])
         fam = generate_partition(3).families[-1]
         assert verify_diagonalizes_symplectic(circ, fam)
         assert memberwise_verdict(circ, fam)
@@ -388,7 +414,7 @@ class TestGeneratorVerifier:
         H on both qubits maps XI, II and XX to x = 0, so only the generator
         check, made when the family is built, rejects the dependent cases.
         """
-        circ = CliffordCircuit.from_gates(2, [Gate("H", (1,)), Gate("H", (2,))])
+        circ = CliffordCircuit(2, [Gate("H", (1,)), Gate("H", (2,))])
         with pytest.raises(InvalidInputError):
             fam = CommutingFamily(2, tuple(PauliString.from_label(s) for s in labels))
             verify_diagonalizes_symplectic(circ, fam)
@@ -404,12 +430,10 @@ class TestGateAndCircuitChecks:
             (lambda: Gate("CZ", (2, 2)), "CZ qubits must differ"),
             (lambda: Gate("SDG", (0,)), "1-based"),
             (lambda: Gate("CZ", (0, 1)), "1-based"),
-            (lambda: CliffordCircuit(2, ((Gate("H", (3,)),),)), "exceeds circuit width"),
-            (lambda: CliffordCircuit.from_gates(2, [Gate("CZ", (1, 3))]), "exceeds circuit width"),
-            (
-                lambda: CliffordCircuit(3, ((Gate("H", (2,)), Gate("CZ", (1, 2))),)),
-                "used twice",
-            ),
+            (lambda: CliffordCircuit(2, [Gate("H", (3,))]), "exceeds circuit width"),
+            (lambda: CliffordCircuit(2, [Gate("CZ", (1, 3))]), "exceeds circuit width"),
+            (lambda: CliffordCircuit.parse("", 0), "n must be at least 1, got 0"),
+            (lambda: CliffordCircuit.parse("", -1), "n must be at least 1, got -1"),
         ],
         ids=[
             "unknown_name",
@@ -419,8 +443,9 @@ class TestGateAndCircuitChecks:
             "qubit_0",
             "cz_qubit_0",
             "qubit_above_n",
-            "qubit_above_n_from_gates",
-            "qubit_reused_in_layer",
+            "cz_qubit_above_n",
+            "width_0",
+            "width_negative",
         ],
     )
     def test_rejected(self, build, message):
@@ -438,6 +463,21 @@ class TestTextFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidInputError):
             CliffordCircuit.parse("H one\n", 1)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("T 1", "unknown gate 'T'"),
+            ("H 1 2", "H takes 1 qubit(s)"),
+            ("CZ 1 1", "CZ qubits must differ"),
+            ("SDG 0", "qubit indices are 1-based"),
+        ],
+        ids=["unknown_name", "wrong_arity", "cz_same_qubit", "qubit_0"],
+    )
+    def test_parse_names_the_line_and_the_reason(self, line, reason):
+        with pytest.raises(InvalidInputError) as info:
+            CliffordCircuit.parse(f"H 1\n{line}\n", 2)
+        assert str(info.value) == f"bad gate line {line!r}: {reason}"
 
     def test_parse_rejects_out_of_range_qubit(self):
         with pytest.raises(InvalidInputError):
