@@ -85,7 +85,7 @@ class MPChannel:
         arrays = (self.signs, self.effects, self.prep_probs, self.preps)
         if not all(np.isfinite(a).all() for a in arrays):
             raise InvalidInputError("channel arrays must be finite")
-        if not np.isin(self.signs, (1, -1)).all():
+        if not ((self.signs == 1) | (self.signs == -1)).all():
             raise InvalidInputError("outcome signs must be +1 or -1")
         if (self.prep_probs < 0).any():
             raise InvalidInputError("prep weights must be non-negative")

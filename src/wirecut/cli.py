@@ -252,11 +252,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except WirecutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WirecutError, OSError, MemoryError) as exc:
+        reason = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {reason}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

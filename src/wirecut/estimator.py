@@ -23,16 +23,18 @@ over all its shots: the (lattice node, channel) keys are ranked by counting,
 not sorting; the cached outcome tables of the distinct keys are stacked; and
 every draw is the count of table entries <= its uniform, as from
 searchsorted(side="right"), by one branch-free binary search over all shots.
-Every cumulative table ends at exactly 1.0 and every uniform is < 1, so the
-search leaves each table's last entry out: a 2-entry table is one gather and
-one compare.  The child nodes are numbered by ranking (key, outcome) and
-then, unless every channel of the location prepares one state per outcome,
-drawing the prep and ranking (pair, prep), so no count array exceeds
-CHUNK_SHOTS x max(channels, outcomes, preps) bins.  The terminal draw counts
-in the cumulative terminal rows of the chunk's leaves, leaves x 2^W doubles
-gathered by row index from the lattice's terminal tables.  A shot's value
-depends only on its own uniforms, so results are reproducible and
-independent of the chunk size.
+Every cumulative table, of channels, outcomes, preps or terminal outcomes,
+comes from _draw_table: it is exactly 1.0 from its last drawable entry on,
+so no entry after that one is ever drawn.  Every uniform is < 1, so the
+search leaves each table's last entry out: a 2-entry table is one gather
+and one compare.  The child nodes are numbered by ranking (key, outcome)
+and then, unless every channel of the location prepares one state per
+outcome, drawing the prep and ranking (pair, prep), so no count array
+exceeds CHUNK_SHOTS x max(channels, outcomes, preps) bins.  The terminal
+draw counts in the cumulative terminal rows of the chunk's leaves, leaves
+x 2^W doubles stacked from the lattice's rows.  A shot's value depends only
+on its own uniforms, so results are reproducible and independent of the
+chunk size.
 
 The lattice of distinct intermediate states is built one cut level at a
 time: the level's missing child nodes are stacked as the columns of
@@ -43,11 +45,12 @@ for bit whatever block it was built in; exact_expectation uses the same
 kernel.  A finished block becomes one (K, 2^W) array whose rows are its
 nodes' states.  A node's outcome table for a channel is built when first
 asked for, with the norm of each outcome row, which conditioning on that
-outcome divides by.  Each block of the last level also gets its terminal
-(cumulative, plain) tables, two (K, 2^W) arrays made by a few array
-operations over the whole block that give each row what its state alone
-would.  The node cap MAX_TRAJECTORY_NODES is checked before a level's
-blocks are allocated, and every new node is one dense.insert_block call.
+outcome divides by.  Each block of the last level also gets its leaves'
+cumulative terminal rows, one (K, 2^W) array made by a few array operations
+over the whole block that give each row what its state alone would; each
+row is stored by its leaf's path, as its state is.  The node cap
+MAX_TRAJECTORY_NODES is checked before a level's blocks are allocated, and
+every new node is one dense.insert_block call.
 """
 
 from __future__ import annotations
@@ -205,14 +208,14 @@ def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
     return float(np.sum(np.abs(state) ** 2 * f.table))
 
 
-def _prep_cums(probs: np.ndarray) -> np.ndarray:
-    """Cumulative prep weights per outcome row, 1.0 from its last positive
-    weight on, so a uniform in [0, 1) counts no entry past it and a
-    zero-weight state is never drawn."""
-    cums = np.cumsum(probs, axis=1)
-    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
-    cums[np.arange(probs.shape[1]) >= last[:, None]] = 1.0
-    return cums
+def _draw_table(probs: np.ndarray, drawable: np.ndarray) -> np.ndarray:
+    """Cumulative sums of `probs` along the last axis, exactly 1.0 from each
+    row's last drawable entry on (the last entry when none is), so a uniform
+    in [0, 1) never draws an entry past it, however the sum rounds."""
+    cum = np.cumsum(probs, axis=-1)
+    last = cum.shape[-1] - 1 - np.argmax(drawable[..., ::-1], axis=-1)
+    cum[np.arange(cum.shape[-1]) >= last[..., None]] = 1.0
+    return cum
 
 
 class _RealizedLocation:
@@ -227,15 +230,15 @@ class _RealizedLocation:
         self.span = d.n
         if loc.first_wire < 1 or loc.first_wire + d.n - 1 > width:
             raise InvalidInputError("cut wires lie outside the circuit")
-        self.channel_cum = np.cumsum(d.probabilities)
-        self.channel_cum[-1] = 1.0
+        probs = d.probabilities
+        self.channel_cum = _draw_table(probs, probs > 0)
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
         self.channels = [ch for _, ch in d.channels]
         shapes = [ch.prep_probs.shape for ch in self.channels]
         self.prep_cum = np.ones((len(shapes), *np.max(shapes, axis=0)))
         self.factors = np.zeros(self.prep_cum.shape[:2])
         for c, (ch, (o, p)) in enumerate(zip(self.channels, shapes)):
-            self.prep_cum[c, :o, :p] = _prep_cums(ch.prep_probs)
+            self.prep_cum[c, :o, :p] = _draw_table(ch.prep_probs, ch.prep_probs > 0)
             self.factors[c, :o] = self.signs[c] * ch.signs
 
 
@@ -246,9 +249,8 @@ class _CutEngine:
     A path is (channel, outcome, prep) per cut passed.  `_states` maps each
     path to its state, a row of its block's array.  `_outcomes` maps (path,
     channel) to that node's outcome table with its row norms, computed once
-    by outcomes().  The last level's leaves also sit in `_terminal`, one
-    array of cumulative rows per block built by children(), and `_leaves`
-    maps a leaf to its (block, row) there.
+    by outcomes().  `_terminal` maps each leaf's path to its cumulative
+    terminal row, a row of the array children() built for its block.
     """
 
     def __init__(self, circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess):
@@ -263,8 +265,7 @@ class _CutEngine:
         root = _simulate_from_zero(circuit, f, self.boundaries[0])
         self._states: dict[tuple, np.ndarray] = {(): root}
         self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._terminal: list[np.ndarray] = []
-        self._leaves: dict[tuple, tuple[int, int]] = {}
+        self._terminal: dict[tuple, np.ndarray] = {}
 
     def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cumulative probabilities, amplitudes, norms) of channel `chan`'s
@@ -282,14 +283,9 @@ class _CutEngine:
         total = probs.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
-        cum = np.cumsum(probs / total)
         norms = np.array([np.linalg.norm(amp) for amp in amps])
-        # the table reaches 1 at the last outcome children() can condition on, so
-        # rounding leaves no mass on the impossible outcomes after it
-        last = len(amps) - 1
-        while last > 0 and norms[last] < MIN_RESIDUAL_NORM:
-            last -= 1
-        cum[last:] = 1.0
+        # drawable are the outcomes children() can condition on
+        cum = _draw_table(probs / total, norms >= MIN_RESIDUAL_NORM)
         self._outcomes[key] = (cum, amps, norms)
         return cum, amps, norms
 
@@ -339,31 +335,12 @@ class _CutEngine:
                 probs = np.abs(states)
                 probs **= 2
                 probs /= probs.sum(axis=1, keepdims=True)
-                cum = np.cumsum(probs, axis=1)
-                del probs
-                cum[:, -1] = 1.0
-                block_id = len(self._terminal)
-                self._terminal.append(cum)
-                self._leaves.update((key, (block_id, j)) for j, key in enumerate(batch))
+                self._terminal.update(zip(batch, _draw_table(probs, probs > 0)))
         return keys
 
-    def final_dist(self, path: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(cumulative, plain) terminal outcome distribution at a leaf node; the
-        plain row is recomputed from the leaf's state, as children() computed it."""
-        block, row = self._leaves[path]
-        probs = np.abs(self._states[path]) ** 2
-        probs /= probs.sum()
-        return self._terminal[block][row], probs
-
     def terminal_cums(self, paths: Sequence[tuple]) -> np.ndarray:
-        """The cumulative terminal rows of the leaves `paths`, stacked in
-        order: one gather by row index per block they lie in."""
-        block, row = np.array([self._leaves[path] for path in paths]).T
-        out = np.empty((len(paths), 2**self.circuit.width))
-        for b in np.unique(block).tolist():
-            hit = block == b
-            out[hit] = self._terminal[b][row[hit]]
-        return out
+        """The cumulative terminal rows of the leaves `paths`, stacked in order."""
+        return np.stack([self._terminal[path] for path in paths])
 
 
 def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -517,7 +494,8 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
     # a plain loop, not sum(): Python 3.12's float sum compensates rounding
     total = 0.0
     for path, weight in zip(paths, weights):
-        total += weight * float(np.dot(engine.final_dist(path)[1], f.table))
+        probs = np.abs(engine._states[path]) ** 2
+        total += weight * float(np.dot(probs / probs.sum(), f.table))
     return engine.gamma_total * total
 
 

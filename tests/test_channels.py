@@ -389,6 +389,9 @@ ARRAY_REJECTED = {
     ),
     "non_finite": (edit("effects", (0, 0), np.nan), "channel arrays must be finite"),
     "sign_not_unit": (edit("signs", 0, 2), "outcome signs must be +1 or -1"),
+    "sign_complex": (
+        lambda arrays: arrays.update(signs=np.array([1 + 1j, 1])), "outcome signs must be +1 or -1"
+    ),
     "negative_prep_weight": (
         edit("prep_probs", 1, [1.5, -0.5]), "prep weights must be non-negative"
     ),

@@ -247,6 +247,26 @@ class TestExactAndEstimate:
         assert abs(report["estimate"] - 1.0) <= 5 * 3.0 / (10**5) ** 0.5
         assert report["gamma_total"] == 3.0
 
+    def test_estimate_out_of_memory_exits_2(self, capsys, monkeypatch):
+        """numpy's failed allocation, a MemoryError, is a resource error:
+        exit 2 and one error line, not a traceback and the mismatch code."""
+        message = "Unable to allocate 16.0 GiB for an array with shape (65536, 32768)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("wirecut.cli.run_monte_carlo", no_memory)
+        code, out, err = run(
+            capsys,
+            "estimate",
+            "--circuit", str(DEMOS / "demo_circuit.json"),
+            "--cuts", str(DEMOS / "demo_cut.json"),
+            "--shots", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: out of memory: {message}\n"
+
     def test_estimate_deterministic_bytes(self, capsys, tmp_path):
         files = []
         for name in ("a.json", "b.json"):

@@ -134,7 +134,18 @@ class TestSamplePrep:
         assert loc.channel_cum[-1] == 1.0
         for c in range(len(loc.signs)):
             assert engine.outcomes((), c)[0][-1] == 1.0
-            assert engine.final_dist(engine.children([((), c, 0, 0)])[0])[0][-1] == 1.0
+            assert engine.terminal_cums(engine.children([((), c, 0, 0)]))[0, -1] == 1.0
+
+    def test_zero_weight_last_channel_is_never_drawn(self):
+        """Weights (3, 2, 2, 0) sum to 0.9999999999999999 before the last
+        entry; the channel table is 1.0 from channel 2 on, so even the
+        largest uniform draws channel 2, never the zero-weight channel 3."""
+        ch = build_optimal_1q().channels[0][1]
+        d = Decomposition(1, tuple((w, ch) for w in (3, 2, 2, 0)), "zero tail")
+        loc = estimator._RealizedLocation(CutLocation(0, 1, d), 1)
+        assert loc.channel_cum[2:].tolist() == [1.0, 1.0]
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert estimator._count_le(loc.channel_cum[None], 0, u).tolist() == [2]
 
 
 class TestMonteCarlo:
@@ -600,6 +611,35 @@ class TestSamplingHelpers:
             assert estimator._count_le(tables, 0, u).tolist() == want
 
     @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_draw_table_is_one_from_the_last_drawable_entry(self, data):
+        """For rows (or one 1-D row) of weights summing to 1 and any mask:
+        before the last drawable entry the table is np.cumsum, from it on
+        exactly 1.0 (from the last entry when none is drawable), and the
+        largest uniform below 1 draws no entry past it."""
+        rows, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+        entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        probs = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=width, max_size=width), min_size=rows, max_size=rows
+        )))
+        probs[:, 0] += probs.sum(axis=1) == 0
+        probs /= probs.sum(axis=1, keepdims=True)
+        drawable = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=width, max_size=width), min_size=rows, max_size=rows
+        )))
+        if data.draw(st.booleans()):
+            probs, drawable = probs[:1], drawable[:1]
+            table = estimator._draw_table(probs[0], drawable[0])[None]
+        else:
+            table = estimator._draw_table(probs, drawable)
+        last = [np.flatnonzero(d)[-1] if d.any() else width - 1 for d in drawable]
+        for row, cum, k in zip(table, np.cumsum(probs, axis=1), last):
+            assert row[:k].tobytes() == cum[:k].tobytes()
+            assert (row[k:] == 1.0).all()
+        u = np.full(len(table), np.nextafter(1.0, 0.0))
+        assert (estimator._count_le(table, np.arange(len(table)), u) <= last).all()
+
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=200), st.integers(0, 40))
     def test_rank_is_unique_with_inverse(self, keys, spare):
         keys = np.array(keys)
@@ -869,7 +909,8 @@ class TestLatticeBatches:
     def test_tables_equal_lone_recomputation(self, case, data):
         """Every stored outcome norm is np.linalg.norm of its row, and every
         terminal row, built a block at a time, is what the lone leaf state
-        gives, bit for bit; the stacked gather returns those rows."""
+        gives, bit for bit, 1.0 from its last positive entry on; the stacked
+        rows come back in the order asked for."""
         engine = estimator._CutEngine(*case)
         state_bytes = 16 * 2 ** case[0].width
         paths = [()]
@@ -881,14 +922,16 @@ class TestLatticeBatches:
                 paths = engine.children(requests)
         for _, amps, norms in engine._outcomes.values():
             assert [n.tobytes() for n in norms] == [np.linalg.norm(a).tobytes() for a in amps]
+        lone = {}
         for path in paths:
             probs = np.abs(engine._states[path]) ** 2
             probs = probs / probs.sum()
             cum = np.cumsum(probs)
-            cum[-1] = 1.0
-            assert [a.tobytes() for a in engine.final_dist(path)] == [cum.tobytes(), probs.tobytes()]
+            cum[np.flatnonzero(probs)[-1] :] = 1.0
+            assert engine.terminal_cums([path])[0].tobytes() == cum.tobytes()
+            lone[path] = cum
         order = data.draw(st.permutations(paths))
-        stacked = np.stack([engine.final_dist(path)[0] for path in order])
+        stacked = np.stack([lone[path] for path in order])
         assert engine.terminal_cums(order).tobytes() == stacked.tobytes()
 
     def test_node_cap_threshold(self, monkeypatch):

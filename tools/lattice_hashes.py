@@ -1,0 +1,71 @@
+"""Print SHA-256 digests of every lattice the estimator builds for nine cut
+cases, and the repr of enumerate_estimator_mean for each.
+
+Run from the repo root, with the package importable (an editable install or
+PYTHONPATH=src):
+
+    python tools/lattice_hashes.py
+
+Each case's lattice is built in full, level by level, from every request
+the lattice can reach.  One line per case gives the digest of its states,
+of its outcome tables (cumulative row, amplitudes and norms), of its leaves'
+stacked terminal rows, and the enumerated mean.  Two trees that print the
+same lines build the same lattices bit for bit.  The digests depend on the
+BLAS and LAPACK the numpy build links, so compare them on one machine.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from tests.test_estimator import deep_three_cut_case, level_requests, wide_mub_case  # noqa: E402
+from wirecut import estimator  # noqa: E402
+from wirecut.channels import build_decomposition  # noqa: E402
+
+DEMOS = ROOT / "demos"
+
+
+def demo_case(circuit_file: str, cuts_file: str, method: str):
+    circuit, f = estimator.load_circuit(DEMOS / circuit_file)
+    cuts = estimator.load_cuts(
+        DEMOS / cuts_file, circuit, lambda n: build_decomposition(method, n)
+    )
+    return circuit, cuts, f
+
+
+def cases():
+    yield "deep_three_cut", deep_three_cut_case()
+    yield "wide_mub", wide_mub_case()
+    for method in ("mub", "peng", "optimal1q", "randomized", "teleport"):
+        yield f"demo_cut:{method}", demo_case("demo_circuit.json", "demo_cut.json", method)
+    for method in ("mub", "teleport"):
+        yield f"ghz_2wire:{method}", demo_case("demo_ghz.json", "demo_cut_2wire.json", method)
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    for name, case in cases():
+        engine = estimator._CutEngine(*case)
+        paths = [()]
+        for depth in range(len(engine.locations)):
+            paths = engine.children(level_requests(engine, paths, depth))
+        states = digest(engine._states[path] for path in sorted(engine._states))
+        outcomes = digest(
+            table for key in sorted(engine._outcomes) for table in engine._outcomes[key]
+        )
+        terminal = digest([engine.terminal_cums(paths)])
+        mean = estimator.enumerate_estimator_mean(*case)
+        print(f"{name} states={states} outcomes={outcomes} terminal={terminal} mean={mean!r}")
+
+
+if __name__ == "__main__":
+    main()
