@@ -60,7 +60,6 @@ from .families import (
 )
 from .pauli import (
     PauliString,
-    commutes,
     pauli_vector,
 )
 from .synth import (

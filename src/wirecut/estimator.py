@@ -51,6 +51,10 @@ over the whole block that give each row what its state alone would; each
 row is stored by its leaf's path, as its state is.  The node cap
 MAX_TRAJECTORY_NODES is checked before a level's blocks are allocated, and
 every new node is one dense.insert_block call.
+
+enumerate_estimator_mean weights each path of the same lattice by the steps
+of the same tables and sign factors, so it is the exact mean of what the
+sampler draws; only _RealizedLocation reads a decomposition's weights.
 """
 
 from __future__ import annotations
@@ -462,10 +466,10 @@ def run_monte_carlo(
 
 
 def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess) -> float:
-    """Zero-sampling-noise mean of the Monte-Carlo estimator.
-
-    Sums sgn(c) * a * f over every channel, outcome, preparation and
-    terminal outcome with their exact probabilities; must agree with
+    """Zero-sampling-noise mean of the Monte-Carlo estimator: gamma * sign * f
+    summed over every channel, outcome, prep and terminal outcome, each
+    weighted by its step in the table run_monte_carlo draws it from, so an
+    entry it never draws is skipped and builds no node.  Must agree with
     exact_expectation for any valid decomposition.
     """
     if not cuts.locations:
@@ -475,27 +479,26 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
     paths, weights = [()], [1.0]
     for loc in engine.locations:
         chan_probs = np.diff(loc.channel_cum, prepend=0.0)
+        prep_probs = np.diff(loc.prep_cum, prepend=0.0)
         requests, next_weights = [], []
         for path, weight in zip(paths, weights):
-            for c, ch in enumerate(loc.channels):
-                w_chan = weight * chan_probs[c] * loc.signs[c]
+            for c in np.flatnonzero(chan_probs > 0).tolist():
                 cum, _, norms = engine.outcomes(path, c)
-                out_probs = np.diff(cum, prepend=0.0)
-                for o, norm in enumerate(norms.tolist()):
-                    # rounding in the cumulative table can leave a sliver of mass on
-                    # an outcome whose conditioned state is zero; it contributes nothing
-                    if out_probs[o] <= 0 or norm < MIN_RESIDUAL_NORM:
-                        continue
-                    w_out = w_chan * ch.signs[o] * out_probs[o]
-                    for p in np.flatnonzero(ch.prep_probs[o]).tolist():
+                # rounding in the cumulative table can leave a sliver of mass on
+                # an outcome whose conditioned state is zero; it contributes nothing
+                out_probs = np.diff(cum, prepend=0.0) * (norms >= MIN_RESIDUAL_NORM)
+                for o in np.flatnonzero(out_probs > 0).tolist():
+                    w_out = weight * chan_probs[c] * loc.factors[c, o] * out_probs[o]
+                    for p in np.flatnonzero(prep_probs[c, o] > 0).tolist():
                         requests.append((path, c, o, p))
-                        next_weights.append(w_out * ch.prep_probs[o, p])
+                        next_weights.append(w_out * prep_probs[c, o, p])
         paths, weights = engine.children(requests), next_weights
-    # a plain loop, not sum(): Python 3.12's float sum compensates rounding
+    # leaf by leaf, so no leaves x 2^W stack exists and no product's rounding
+    # hangs on its row count; a plain loop, not sum(), which compensates in 3.12
     total = 0.0
     for path, weight in zip(paths, weights):
-        probs = np.abs(engine._states[path]) ** 2
-        total += weight * float(np.dot(probs / probs.sum(), f.table))
+        probs = np.diff(engine.terminal_cums([path])[0], prepend=0.0)
+        total += float(weight * np.dot(probs, f.table))
     return engine.gamma_total * total
 
 

@@ -65,13 +65,6 @@ class PauliString:
         )
 
 
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the symplectic form p.z*q.x + q.z*p.x vanishes mod 2."""
-    if p.n != q.n:
-        raise InvalidInputError("qubit counts differ")
-    return ((p.zbits & q.xbits).bit_count() + (q.zbits & p.xbits).bit_count()) % 2 == 0
-
-
 @functools.cache
 def _walsh_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tables :func:`pauli_vector` uses at width n, built on first use.

@@ -4,13 +4,14 @@ Each one builds the full 2^n x 2^n matrices the library avoids, so they
 serve small n only: a Pauli string's matrix, the check that a circuit
 turns every member of a family into a signed Z-string, how far a set of
 bases is from mutually unbiased, and a decomposition's transfer-matrix
-residual as one product of two dense stacks.  One is a bit-level
-reference instead: the GF(2) reduction that back-substitutes over every
-lower pivot.
+residual as one product of two dense stacks.  Two are bit-level
+references instead: the symplectic commutation test of two Pauli strings,
+and the GF(2) reduction that back-substitutes over every lower pivot.
 """
 
 import numpy as np
 
+from wirecut.errors import InvalidInputError
 from wirecut.pauli import PauliString, pauli_vector
 from wirecut.synth import circuit_unitary
 
@@ -30,6 +31,13 @@ def dense_pauli(p):
     for ch in label[1:]:
         mat = np.kron(mat, _LETTERS[ch])
     return mat
+
+
+def commutes(p, q):
+    """True iff the symplectic form p.z*q.x + q.z*p.x vanishes mod 2."""
+    if p.n != q.n:
+        raise InvalidInputError("qubit counts differ")
+    return ((p.zbits & q.xbits).bit_count() + (q.zbits & p.xbits).bit_count()) % 2 == 0
 
 
 def family_members(family):

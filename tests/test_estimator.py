@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from wirecut.estimator import (
     run_monte_carlo,
 )
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 H2 = np.kron(dense.H_1Q, np.eye(2))
 BELL_MAKER = dense.CX_2Q @ H2
 
@@ -350,6 +352,7 @@ class TestUnbiasedness:
         f = PostProcess.parity(3)
         exact = exact_expectation(circ, f)
         mean = enumerate_estimator_mean(circ, demo_cut(build()), f)
+        assert type(mean) is float
         assert abs(mean - exact) < 1e-10
 
     @pytest.mark.parametrize("build", [build_peng_1q, build_optimal_1q])
@@ -447,6 +450,61 @@ class TestUnbiasedness:
                     impossible += 1
                     assert width == 0.0
         assert impossible > 0
+
+
+def ghz_mub_cut():
+    """The GHZ demo circuit, its wires 2-3 cut by the 2-wire mub decomposition."""
+    circuit, f = estimator.load_circuit(DEMOS / "demo_ghz.json")
+    return circuit, estimator.load_cuts(DEMOS / "demo_cut_2wire.json", circuit, build_mub_default), f
+
+
+def flip_a_negative_channel(loc):
+    loc.factors[loc.signs.index(-1)] *= -1
+
+
+def draw_only_the_first_prep(loc):
+    loc.prep_cum[-1, 0] = 1.0
+
+
+class TestEnumeratorReadsTheSamplerTables:
+    """The enumerator weights each path by the steps of the tables that
+    run_monte_carlo draws from, not by the decomposition they came from."""
+
+    @pytest.mark.parametrize("fault", [flip_a_negative_channel, draw_only_the_first_prep])
+    def test_a_faulty_table_moves_the_mean_where_the_sampler_goes(self, monkeypatch, fault):
+        case = ghz_mub_cut()
+        init = estimator._RealizedLocation.__init__
+
+        def faulty(self, *args):
+            init(self, *args)
+            fault(self)
+
+        monkeypatch.setattr(estimator._RealizedLocation, "__init__", faulty)
+        mean = enumerate_estimator_mean(*case)
+        assert abs(mean - exact_expectation(case[0], case[2])) > 1e-3
+        rep = run_monte_carlo(*case, 20_000, seed=1)
+        assert abs(rep.estimate - mean) < 5 * rep.std_error
+
+    def test_zero_weight_channel_builds_no_node(self, monkeypatch):
+        """A channel that can never be drawn gets no outcome table and no
+        node below it, also when it is not the decomposition's last."""
+        d = build_optimal_1q()
+        zero = d.channels[:1] + ((0, d.channels[0][1]),) + d.channels[1:]
+        rng = np.random.default_rng(8)
+        circ = demo_circuit(dense.haar_unitary(4, rng), dense.haar_unitary(4, rng))
+        f = PostProcess.parity(3)
+        engines, children = [], estimator._CutEngine.children
+
+        def recorded(engine, requests):
+            engines.append(engine)
+            return children(engine, requests)
+
+        monkeypatch.setattr(estimator._CutEngine, "children", recorded)
+        mean = enumerate_estimator_mean(circ, demo_cut(Decomposition(1, zero, "zero")), f)
+        assert abs(mean - exact_expectation(circ, f)) < 1e-10
+        (engine,) = set(engines)
+        assert [key[0] for key in engine._outcomes] == [0, 2, 3]
+        assert {path[0] for path in engine._states if path} == {0, 2, 3}
 
 
 class TestVariance:

@@ -22,9 +22,15 @@ from wirecut.families import (
     gf_mul,
     validate_partition,
 )
-from wirecut.pauli import PauliString, commutes
+from wirecut.pauli import PauliString
 
-from oracles import dense_pauli, family_members, gf2_basis_all_pivots, mub_overlap_deviation
+from oracles import (
+    commutes,
+    dense_pauli,
+    family_members,
+    gf2_basis_all_pivots,
+    mub_overlap_deviation,
+)
 
 
 def product(p, q):

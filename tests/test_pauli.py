@@ -11,14 +11,13 @@ from hypothesis.extra.numpy import arrays
 from wirecut.errors import InvalidInputError
 from wirecut.pauli import (
     PauliString,
-    commutes,
     gf2_basis,
     gf2_independent,
     gf2_rank,
     pauli_vector,
 )
 
-from oracles import dense_pauli, gf2_basis_all_pivots
+from oracles import commutes, dense_pauli, gf2_basis_all_pivots
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

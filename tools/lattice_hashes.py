@@ -1,5 +1,6 @@
 """Print SHA-256 digests of every lattice the estimator builds for nine cut
-cases, and the repr of enumerate_estimator_mean for each.
+cases, and the reprs of enumerate_estimator_mean and exact_expectation for
+each; exit 1 when the two differ by more than TOLERANCE in any case.
 
 Run from the repo root, with the package importable (an editable install or
 PYTHONPATH=src):
@@ -9,9 +10,11 @@ PYTHONPATH=src):
 Each case's lattice is built in full, level by level, from every request
 the lattice can reach.  One line per case gives the digest of its states,
 of its outcome tables (cumulative row, amplitudes and norms), of its leaves'
-stacked terminal rows, and the enumerated mean.  Two trees that print the
-same lines build the same lattices bit for bit.  The digests depend on the
-BLAS and LAPACK the numpy build links, so compare them on one machine.
+stacked terminal rows, the enumerated mean and the exact expectation.  Two
+trees that print the same digests build the same lattices bit for bit.  The
+digests depend on the BLAS and LAPACK the numpy build links, so compare them
+on one machine.  The tool uses only names that older trees have too, so
+one copy of it can compare two trees.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ from wirecut import estimator  # noqa: E402
 from wirecut.channels import build_decomposition  # noqa: E402
 
 DEMOS = ROOT / "demos"
+TOLERANCE = 1e-10
 
 
 def demo_case(circuit_file: str, cuts_file: str, method: str):
@@ -52,7 +56,8 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def main() -> int:
+    status = 0
     for name, case in cases():
         engine = estimator._CutEngine(*case)
         paths = [()]
@@ -64,8 +69,17 @@ def main() -> None:
         )
         terminal = digest([engine.terminal_cums(paths)])
         mean = estimator.enumerate_estimator_mean(*case)
-        print(f"{name} states={states} outcomes={outcomes} terminal={terminal} mean={mean!r}")
+        exact = estimator.exact_expectation(case[0], case[2])
+        print(
+            f"{name} states={states} outcomes={outcomes} terminal={terminal} "
+            f"mean={mean!r} exact={exact!r}"
+        )
+        gap = abs(mean - exact)
+        if not gap <= TOLERANCE:
+            print(f"{name}: |mean - exact| = {gap:.3g} > {TOLERANCE}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
