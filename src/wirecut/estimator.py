@@ -24,8 +24,8 @@ not sorting; the cached outcome tables of the distinct keys are stacked; and
 every draw is the count of table entries <= its uniform, as from
 searchsorted(side="right"), by one branch-free binary search over all shots.
 Every cumulative table, of channels, outcomes, preps or terminal outcomes,
-comes from _draw_table: it is exactly 1.0 from its last drawable entry on,
-so no entry after that one is ever drawn.  Every uniform is < 1, so the
+comes from _draw_table: only its entries of probability > 0 are drawable,
+and it is exactly 1.0 from the last of them on.  Every uniform is < 1, so the
 search leaves each table's last entry out: a 2-entry table is one gather
 and one compare.  The child nodes are numbered by ranking (key, outcome)
 and then, unless every channel of the location prepares one state per
@@ -48,7 +48,7 @@ asked for, with the norm of each outcome row, which conditioning on that
 outcome divides by.  Each block of the last level also gets its leaves'
 cumulative terminal rows, one (K, 2^W) array made by a few array operations
 over the whole block that give each row what its state alone would; each
-row is stored by its leaf's path, as its state is.  The node cap
+row is stored by its leaf's path in place of its state.  The node cap
 MAX_TRAJECTORY_NODES is checked before a level's blocks are allocated, and
 every new node is one dense.insert_block call.
 
@@ -212,12 +212,12 @@ def exact_expectation(circuit: LayeredCircuit, f: PostProcess) -> float:
     return float(np.sum(np.abs(state) ** 2 * f.table))
 
 
-def _draw_table(probs: np.ndarray, drawable: np.ndarray) -> np.ndarray:
+def _draw_table(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums of `probs` along the last axis, exactly 1.0 from each
-    row's last drawable entry on (the last entry when none is), so a uniform
-    in [0, 1) never draws an entry past it, however the sum rounds."""
+    row's last entry of probability > 0 on (the last entry when none is), so
+    a uniform in [0, 1) draws no entry of probability 0, however the sum rounds."""
     cum = np.cumsum(probs, axis=-1)
-    last = cum.shape[-1] - 1 - np.argmax(drawable[..., ::-1], axis=-1)
+    last = cum.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
     cum[np.arange(cum.shape[-1]) >= last[..., None]] = 1.0
     return cum
 
@@ -235,14 +235,14 @@ class _RealizedLocation:
         if loc.first_wire < 1 or loc.first_wire + d.n - 1 > width:
             raise InvalidInputError("cut wires lie outside the circuit")
         probs = d.probabilities
-        self.channel_cum = _draw_table(probs, probs > 0)
+        self.channel_cum = _draw_table(probs)
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
         self.channels = [ch for _, ch in d.channels]
         shapes = [ch.prep_probs.shape for ch in self.channels]
         self.prep_cum = np.ones((len(shapes), *np.max(shapes, axis=0)))
         self.factors = np.zeros(self.prep_cum.shape[:2])
         for c, (ch, (o, p)) in enumerate(zip(self.channels, shapes)):
-            self.prep_cum[c, :o, :p] = _draw_table(ch.prep_probs, ch.prep_probs > 0)
+            self.prep_cum[c, :o, :p] = _draw_table(ch.prep_probs)
             self.factors[c, :o] = self.signs[c] * ch.signs
 
 
@@ -251,10 +251,10 @@ class _CutEngine:
     enumeration: nodes are distinct intermediate states, memoized by path.
 
     A path is (channel, outcome, prep) per cut passed.  `_states` maps each
-    path to its state, a row of its block's array.  `_outcomes` maps (path,
-    channel) to that node's outcome table with its row norms, computed once
-    by outcomes().  `_terminal` maps each leaf's path to its cumulative
-    terminal row, a row of the array children() built for its block.
+    path to one row of its block's array: an interior node's entry is its
+    state, and a leaf's entry is its cumulative terminal row.  `_outcomes`
+    maps (path, channel) to that node's outcome table with its row norms,
+    computed once by outcomes().
     """
 
     def __init__(self, circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess):
@@ -269,13 +269,13 @@ class _CutEngine:
         root = _simulate_from_zero(circuit, f, self.boundaries[0])
         self._states: dict[tuple, np.ndarray] = {(): root}
         self._outcomes: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._terminal: dict[tuple, np.ndarray] = {}
 
     def outcomes(self, path: tuple, chan: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cumulative probabilities, amplitudes, norms) of channel `chan`'s
         outcomes at node `path`.  Amplitude row o is the node's state with
         outcome o's effect vector applied to the cut wires: the unnormalized
-        state of the other wires; norms[o] is its np.linalg.norm."""
+        state of the other wires; norms[o] is its np.linalg.norm.  Outcomes
+        of norm < MIN_RESIDUAL_NORM get probability 0: none can draw them."""
         key = path + (chan,)
         cached = self._outcomes.get(key)
         if cached is not None:
@@ -288,8 +288,7 @@ class _CutEngine:
         if not np.isfinite(total) or total <= 0:
             raise NumericFailureError("outcome probabilities degenerate")
         norms = np.array([np.linalg.norm(amp) for amp in amps])
-        # drawable are the outcomes children() can condition on
-        cum = _draw_table(probs / total, norms >= MIN_RESIDUAL_NORM)
+        cum = _draw_table(np.where(norms >= MIN_RESIDUAL_NORM, probs / total, 0.0))
         self._outcomes[key] = (cum, amps, norms)
         return cum, amps, norms
 
@@ -301,7 +300,7 @@ class _CutEngine:
         prepared state inserted, and the states, stacked as the columns of
         (2^W, K) blocks of at most BLOCK_BYTES, pass through the layers down
         to the next cut as one block per layer.  At the last cut level each
-        finished block also gets its terminal tables.  The node cap is
+        leaf keeps its terminal row in place of its state.  The node cap is
         checked before any block exists.
         """
         keys = [path + (chan, outcome, prep) for path, chan, outcome, prep in requests]
@@ -332,19 +331,20 @@ class _CutEngine:
             # memory layout a lone state has
             states = np.ascontiguousarray(_apply_layers(block, self.circuit, lo, hi).T)
             del block
-            self._states.update(zip(batch, states))
             if last_level:
                 # row for row what a lone state's abs, square, sum and cumsum
                 # give, each step in place where it can be
                 probs = np.abs(states)
+                del states
                 probs **= 2
                 probs /= probs.sum(axis=1, keepdims=True)
-                self._terminal.update(zip(batch, _draw_table(probs, probs > 0)))
+                states = _draw_table(probs)
+            self._states.update(zip(batch, states))
         return keys
 
     def terminal_cums(self, paths: Sequence[tuple]) -> np.ndarray:
         """The cumulative terminal rows of the leaves `paths`, stacked in order."""
-        return np.stack([self._terminal[path] for path in paths])
+        return np.stack([self._states[path] for path in paths])
 
 
 def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -483,10 +483,7 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
         requests, next_weights = [], []
         for path, weight in zip(paths, weights):
             for c in np.flatnonzero(chan_probs > 0).tolist():
-                cum, _, norms = engine.outcomes(path, c)
-                # rounding in the cumulative table can leave a sliver of mass on
-                # an outcome whose conditioned state is zero; it contributes nothing
-                out_probs = np.diff(cum, prepend=0.0) * (norms >= MIN_RESIDUAL_NORM)
+                out_probs = np.diff(engine.outcomes(path, c)[0], prepend=0.0)
                 for o in np.flatnonzero(out_probs > 0).tolist():
                     w_out = weight * chan_probs[c] * loc.factors[c, o] * out_probs[o]
                     for p in np.flatnonzero(prep_probs[c, o] > 0).tolist():

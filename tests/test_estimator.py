@@ -19,7 +19,7 @@ from wirecut.channels import (
     build_optimal_1q,
     build_peng_1q,
 )
-from wirecut.errors import InvalidInputError, ResourceLimitError
+from wirecut.errors import InvalidInputError, NumericFailureError, ResourceLimitError
 from wirecut.estimator import (
     CircuitLayer,
     CutLocation,
@@ -451,6 +451,37 @@ class TestUnbiasedness:
                     assert width == 0.0
         assert impossible > 0
 
+    def test_zero_probability_outcome_cannot_be_conditioned_on(self):
+        """|0> through an identity wire: the optimal1q Z channel's outcome 1
+        has norm 0.  children() refuses to condition on it, and the
+        enumerator never asks it to, so the mean is still exact."""
+        case = (
+            LayeredCircuit(1, ()),
+            CutSpec((CutLocation(0, 1, build_optimal_1q()),)),
+            PostProcess.parity(1),
+        )
+        engine = estimator._CutEngine(*case)
+        assert engine.outcomes((), 2)[2].tolist() == [1.0, 0.0]
+        with pytest.raises(NumericFailureError, match="zero-probability outcome"):
+            engine.children([((), 2, 1, 0)])
+        assert enumerate_estimator_mean(*case) == exact_expectation(case[0], case[2])
+
+    def test_a_zero_uniform_draws_no_zero_norm_outcome(self):
+        """On the demo circuit each randomized channel's outcome 0 has mass
+        5e-34 but a conditioned norm below MIN_RESIDUAL_NORM, so its table
+        step is 0: a shot whose uniforms are all 0.0, which the generator
+        can return, draws outcome 1 and builds no zero-norm node."""
+        circuit, f = estimator.load_circuit(DEMOS / "demo_circuit.json")
+        cuts = estimator.load_cuts(
+            DEMOS / "demo_cut.json", circuit, lambda n: build_decomposition("randomized", n)
+        )
+        engine = estimator._CutEngine(circuit, cuts, f)
+        tallies = [np.zeros(len(engine.locations[0].signs), dtype=np.int64)]
+        estimator._sample_chunk(engine, np.zeros((1, 4)), tallies)
+        (chan,) = np.flatnonzero(tallies[0]).tolist()
+        assert engine.outcomes((), chan)[0][0] == 0.0
+        assert [path[1] for path in engine._states if path] == [1]
+
 
 def ghz_mub_cut():
     """The GHZ demo circuit, its wires 2-3 cut by the 2-wire mub decomposition."""
@@ -671,7 +702,8 @@ class TestSamplingHelpers:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_draw_table_is_one_from_the_last_drawable_entry(self, data):
-        """For rows (or one 1-D row) of weights summing to 1 and any mask:
+        """For rows (or one 1-D row) of weights summing to 1, any of them
+        then set to 0, an entry being drawable when its weight is > 0:
         before the last drawable entry the table is np.cumsum, from it on
         exactly 1.0 (from the last entry when none is drawable), and the
         largest uniform below 1 draws no entry past it."""
@@ -682,14 +714,16 @@ class TestSamplingHelpers:
         )))
         probs[:, 0] += probs.sum(axis=1) == 0
         probs /= probs.sum(axis=1, keepdims=True)
-        drawable = np.array(data.draw(st.lists(
+        mask = np.array(data.draw(st.lists(
             st.lists(st.booleans(), min_size=width, max_size=width), min_size=rows, max_size=rows
         )))
+        probs = np.where(mask, probs, 0.0)
+        drawable = probs > 0
         if data.draw(st.booleans()):
             probs, drawable = probs[:1], drawable[:1]
-            table = estimator._draw_table(probs[0], drawable[0])[None]
+            table = estimator._draw_table(probs[0])[None]
         else:
-            table = estimator._draw_table(probs, drawable)
+            table = estimator._draw_table(probs)
         last = [np.flatnonzero(d)[-1] if d.any() else width - 1 for d in drawable]
         for row, cum, k in zip(table, np.cumsum(probs, axis=1), last):
             assert row[:k].tobytes() == cum[:k].tobytes()
@@ -966,9 +1000,9 @@ class TestLatticeBatches:
     @given(cut_circuits(max_width=5), st.data())
     def test_tables_equal_lone_recomputation(self, case, data):
         """Every stored outcome norm is np.linalg.norm of its row, and every
-        terminal row, built a block at a time, is what the lone leaf state
-        gives, bit for bit, 1.0 from its last positive entry on; the stacked
-        rows come back in the order asked for."""
+        terminal row, built a block at a time, is what the lone leaf state,
+        rebuilt from its stored parent, gives bit for bit, 1.0 from its last
+        positive entry on; the stacked rows come back in the order asked for."""
         engine = estimator._CutEngine(*case)
         state_bytes = 16 * 2 ** case[0].width
         paths = [()]
@@ -980,9 +1014,15 @@ class TestLatticeBatches:
                 paths = engine.children(requests)
         for _, amps, norms in engine._outcomes.values():
             assert [n.tobytes() for n in norms] == [np.linalg.norm(a).tobytes() for a in amps]
-        lone = {}
+        depth = len(engine.locations) - 1
+        loc, lone = engine.locations[depth], {}
         for path in paths:
-            probs = np.abs(engine._states[path]) ** 2
+            chan, outcome, prep = path[-3:]
+            _, amps, norms = engine.outcomes(path[:-3], chan)
+            chi = loc.channels[chan].preps[outcome, prep]
+            state = dense.insert_block(amps[outcome] / norms[outcome], chi, loc.first, loc.span)
+            state = estimator._apply_layers(state, case[0], *engine.boundaries[depth : depth + 2])
+            probs = np.abs(state) ** 2
             probs = probs / probs.sum()
             cum = np.cumsum(probs)
             cum[np.flatnonzero(probs)[-1] :] = 1.0
@@ -991,6 +1031,26 @@ class TestLatticeBatches:
         order = data.draw(st.permutations(paths))
         stacked = np.stack([lone[path] for path in order])
         assert engine.terminal_cums(order).tobytes() == stacked.tobytes()
+
+    def test_a_leaf_keeps_only_its_terminal_row(self, monkeypatch):
+        """Once the enumerator has built every level, each leaf's one entry
+        is its float64 terminal row, the row terminal_cums reads: no leaf
+        holds a complex state."""
+        engines, children = [], estimator._CutEngine.children
+
+        def recorded(engine, requests):
+            engines.append(engine)
+            return children(engine, requests)
+
+        monkeypatch.setattr(estimator._CutEngine, "children", recorded)
+        enumerate_estimator_mean(*deep_three_cut_case())
+        (engine,) = set(engines)
+        leaves = [path for path in engine._states if len(path) == 9]
+        assert len(leaves) == 36 * 28
+        for path in leaves:
+            row = engine._states[path]
+            assert row.dtype == np.float64
+            assert row.tobytes() == engine.terminal_cums([path])[0].tobytes()
 
     def test_node_cap_threshold(self, monkeypatch):
         """The cap counts the nodes below the root, as the lattice held them

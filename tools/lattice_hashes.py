@@ -8,13 +8,17 @@ PYTHONPATH=src):
     python tools/lattice_hashes.py
 
 Each case's lattice is built in full, level by level, from every request
-the lattice can reach.  One line per case gives the digest of its states,
-of its outcome tables (cumulative row, amplitudes and norms), of its leaves'
-stacked terminal rows, the enumerated mean and the exact expectation.  Two
-trees that print the same digests build the same lattices bit for bit.  The
-digests depend on the BLAS and LAPACK the numpy build links, so compare them
-on one machine.  The tool uses only names that older trees have too, so
-one copy of it can compare two trees.
+the lattice can reach.  One line per case gives the digest of its interior
+nodes' states, of its outcome tables (cumulative row, amplitudes and
+norms), of its leaves' stacked terminal rows, the enumerated mean and the
+exact expectation.  The states digest skips the leaves, the paths of 3 x
+(number of cut locations) entries: a tree that keeps only a leaf's
+terminal row in its node store, and one that keeps its state beside the
+row, then print the same line for the same lattice.  Two trees that print
+the same digests build the same lattices bit for bit.  The digests depend
+on the BLAS and LAPACK the numpy build links, so compare them on one
+machine.  The tool uses only names that older trees have too, so one copy
+of it can compare two trees.
 """
 
 import hashlib
@@ -63,7 +67,9 @@ def main() -> int:
         paths = [()]
         for depth in range(len(engine.locations)):
             paths = engine.children(level_requests(engine, paths, depth))
-        states = digest(engine._states[path] for path in sorted(engine._states))
+        leaf = 3 * len(engine.locations)
+        interior = sorted(path for path in engine._states if len(path) < leaf)
+        states = digest(engine._states[path] for path in interior)
         outcomes = digest(
             table for key in sorted(engine._outcomes) for table in engine._outcomes[key]
         )
