@@ -144,11 +144,6 @@ class Decomposition:
     def m(self) -> int:
         return len(self.channels)
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        g = float(self.gamma)
-        return np.array([abs(float(c)) / g for c, _ in self.channels])
-
 
 def ptm(channel: MPChannel) -> np.ndarray:
     """Pauli transfer matrix S[k, l] = Tr[sigma_k E(sigma_l)], a real 4^n x 4^n
@@ -243,7 +238,7 @@ def _pure_channel(n: int, outcomes) -> MPChannel:
 
 def _basis_channel(n: int, u: np.ndarray) -> MPChannel:
     """Measure in the basis of u's columns and re-prepare the outcome."""
-    return _pure_channel(n, [(1, v, v) for v in u.T])
+    return MPChannel(n, np.ones(len(u), dtype=int), u.T, np.ones((len(u), 1)), u.T[:, None, :])
 
 
 def _computational_channel(n: int, exclude_outcome: bool) -> MPChannel:

@@ -1,4 +1,5 @@
-"""Dense statevector / unitary helpers shared by the synthesizer and estimator.
+"""Dense statevector / unitary helpers shared by the synthesizer and estimator;
+a synthesized circuit's CZ signs are applied in synth.circuit_unitary.
 
 Index convention: basis index bits are big-endian in the qubit number, so
 qubit 1 is the most significant bit of a computational label.  This matches
@@ -18,18 +19,6 @@ SDG_1Q = np.array([[1, 0], [0, -1j]], dtype=complex)
 CX_2Q = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def apply_cz(array: np.ndarray, q1: int, q2: int, width: int) -> np.ndarray:
-    """Apply CZ between two (not necessarily adjacent) qubits along axis 0."""
-    dim = 2**width
-    idx = np.arange(dim)
-    b1 = (idx >> (width - q1)) & 1
-    b2 = (idx >> (width - q2)) & 1
-    signs = np.where((b1 & b2) == 1, -1.0, 1.0)
-    shaped = array.reshape(dim, -1)
-    out = shaped * signs[:, None]
-    return out.reshape(array.shape)
 
 
 def apply_block(state: np.ndarray, gate: np.ndarray, first: int, k: int) -> np.ndarray:

@@ -114,6 +114,8 @@ class LayeredCircuit:
     layers: tuple[CircuitLayer, ...]
 
     def __post_init__(self):
+        if self.width < 1:
+            raise InvalidInputError(f"the circuit width must be at least 1, got {self.width}")
         for layer in self.layers:
             if layer.first + layer.span - 1 > self.width:
                 raise InvalidInputError("layer support exceeds circuit width")
@@ -234,8 +236,8 @@ class _RealizedLocation:
         self.span = d.n
         if loc.first_wire < 1 or loc.first_wire + d.n - 1 > width:
             raise InvalidInputError("cut wires lie outside the circuit")
-        probs = d.probabilities
-        self.channel_cum = _draw_table(probs)
+        gamma = float(d.gamma)
+        self.channel_cum = _draw_table(np.array([abs(float(c)) / gamma for c, _ in d.channels]))
         self.signs = [1 if float(c) >= 0 else -1 for c, _ in d.channels]
         self.channels = [ch for _, ch in d.channels]
         shapes = [ch.prep_probs.shape for ch in self.channels]
@@ -430,6 +432,8 @@ def run_monte_carlo(
     seed: int = 0,
 ) -> EstimateReport:
     """Unbiased quasiprobability estimate of the uncut expectation of f."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise InvalidInputError(f"shots {shots!r} must be an integer")
     if shots < 1:
         raise InvalidInputError("need at least one shot")
     if shots > MAX_SHOTS:
@@ -437,7 +441,7 @@ def run_monte_carlo(
     if not cuts.locations:
         raise InvalidInputError("no cut locations; use exact_expectation instead")
     # Philox keys are 128-bit unsigned integers
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise InvalidInputError(f"seed {seed!r} must be an integer in [0, 2^128)")
     engine = _CutEngine(circuit, cuts, f)
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -457,10 +461,10 @@ def run_monte_carlo(
         std_error = float(np.sqrt(values.sum() / (shots - 1)) / np.sqrt(shots))
     return EstimateReport(
         estimate=estimate,
-        shots=shots,
+        shots=int(shots),
         gamma_total=engine.gamma_total,
         std_error=std_error,
-        seed=seed,
+        seed=int(seed),
         tallies=tuple(tuple(t.tolist()) for t in tallies),
     )
 

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 
 MAX_QUBITS = 16
-MAX_DENSE_QUBITS = 10
 
 # letter -> (z, x)
 _LETTER_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}

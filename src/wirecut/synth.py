@@ -20,8 +20,9 @@ import numpy as np
 from . import dense
 from .errors import InvalidInputError, ResourceLimitError, SynthesisError
 from .families import CommutingFamily
-from .pauli import MAX_DENSE_QUBITS, gf2_basis
+from .pauli import gf2_basis
 
+MAX_DENSE_QUBITS = 10
 _ARITY = {"H": 1, "SDG": 1, "CZ": 2}
 GATE_NAMES = tuple(_ARITY)
 
@@ -223,18 +224,22 @@ def synthesize(family: CommutingFamily) -> CliffordCircuit:
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    """Dense matrix of the circuit (layers applied left to right in time)."""
-    if circuit.n > MAX_DENSE_QUBITS:
+    """Dense matrix of the circuit (layers applied left to right in time):
+    H and S-dagger as 1-qubit blocks, CZ as a +-1.0 factor on every row.  A
+    factor of (1 + 0j), or flipping only the chosen rows, would move the
+    signs of some zeros, and so the bytes of a saved decomposition."""
+    n = circuit.n
+    if n > MAX_DENSE_QUBITS:
         raise ResourceLimitError(f"dense circuit realization capped at {MAX_DENSE_QUBITS} qubits")
-    dim = 2**circuit.n
-    mat = np.eye(dim, dtype=complex)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column q - 1: qubit q
+    mat = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        if g.name == "H":
-            mat = dense.apply_block(mat, dense.H_1Q, g.qubits[0], 1)
-        elif g.name == "SDG":
-            mat = dense.apply_block(mat, dense.SDG_1Q, g.qubits[0], 1)
+        if g.name == "CZ":
+            a, b = g.qubits
+            mat = mat * np.where(bits[:, a - 1] & bits[:, b - 1], -1.0, 1.0)[:, None]
         else:
-            mat = dense.apply_cz(mat, g.qubits[0], g.qubits[1], circuit.n)
+            gate = dense.H_1Q if g.name == "H" else dense.SDG_1Q
+            mat = dense.apply_block(mat, gate, g.qubits[0], 1)
     return mat
 
 

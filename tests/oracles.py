@@ -1,12 +1,13 @@
 """Dense references that the tests hold the library's bit-level code to.
 
 Each one builds the full 2^n x 2^n matrices the library avoids, so they
-serve small n only: a Pauli string's matrix, the check that a circuit
-turns every member of a family into a signed Z-string, how far a set of
-bases is from mutually unbiased, and a decomposition's transfer-matrix
-residual as one product of two dense stacks.  Two are bit-level
-references instead: the symplectic commutation test of two Pauli strings,
-and the GF(2) reduction that back-substitutes over every lower pivot.
+serve small n only: a Pauli string's matrix, a circuit's matrix as the
+product of its gates' krons, the check that a circuit turns every member
+of a family into a signed Z-string, how far a set of bases is from
+mutually unbiased, and a decomposition's transfer-matrix residual as one
+product of two dense stacks.  Two are bit-level references instead: the
+symplectic commutation test of two Pauli strings, and the GF(2)
+reduction that back-substitutes over every lower pivot.
 """
 
 import numpy as np
@@ -31,6 +32,34 @@ def dense_pauli(p):
     for ch in label[1:]:
         mat = np.kron(mat, _LETTERS[ch])
     return mat
+
+
+_ONE_QUBIT_GATES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "SDG": np.diag([1, -1j]),
+}
+
+
+def _on_qubit(gate, q, n):
+    """The 2 x 2 `gate` on qubit q of n, as I (x) gate (x) I."""
+    return np.kron(np.kron(np.eye(2 ** (q - 1)), gate), np.eye(2 ** (n - q)))
+
+
+def dense_circuit_unitary(circuit):
+    """The product of the circuit's gate matrices, the first gate rightmost:
+    each 1-qubit gate as a kron of I's and the gate, and CZ on (a, b) as
+    I - (I - Z_a)(I - Z_b) / 2."""
+    n = circuit.n
+    eye = np.eye(2**n)
+    out = eye.astype(complex)
+    for g in circuit.gates:
+        if g.name == "CZ":
+            a, b = (eye - _on_qubit(_LETTERS["Z"], q, n) for q in g.qubits)
+            mat = eye - a @ b / 2
+        else:
+            mat = _on_qubit(_ONE_QUBIT_GATES[g.name], g.qubits[0], n)
+        out = mat @ out
+    return out
 
 
 def commutes(p, q):

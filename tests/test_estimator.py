@@ -46,6 +46,11 @@ class TestExactExpectation:
         circ = LayeredCircuit(2, ())
         assert exact_expectation(circ, PostProcess.parity(2)) == 1.0
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_refused(self, width):
+        with pytest.raises(InvalidInputError, match=f"width must be at least 1, got {width}"):
+            LayeredCircuit(width, ())
+
     def test_h_circuit_parity_zero(self):
         circ = LayeredCircuit(1, (CircuitLayer(1, dense.H_1Q),))
         assert abs(exact_expectation(circ, PostProcess.parity(1))) < 1e-12
@@ -213,6 +218,39 @@ class TestMonteCarlo:
         cuts = demo_cut(build_optimal_1q())
         with pytest.raises(ResourceLimitError, match="shots capped"):
             run_monte_carlo(demo_circuit(), cuts, PostProcess.parity(3), estimator.MAX_SHOTS + 1)
+
+    @pytest.mark.parametrize(
+        "shots, seed, message",
+        [
+            (2.0, 0, "shots 2.0 must be an integer"),
+            (3.5, 0, "shots 3.5 must be an integer"),
+            (True, 0, "shots True must be an integer"),
+            ("10", 0, "shots '10' must be an integer"),
+            (10, True, r"seed True must be an integer in \[0, 2\^128\)"),
+            (10, False, r"seed False must be an integer in \[0, 2\^128\)"),
+            (10, 1.0, r"seed 1.0 must be an integer in \[0, 2\^128\)"),
+        ],
+    )
+    def test_non_integer_shots_and_bool_seed_refused_before_the_engine(
+        self, monkeypatch, shots, seed, message
+    ):
+        """A bool is an int to Python but not a shot count or a Philox key:
+        each is refused, with a float shot count, before the engine exists."""
+
+        def no_engine(*args):
+            raise AssertionError("engine built before the shots and seed checks")
+
+        monkeypatch.setattr(estimator, "_CutEngine", no_engine)
+        cuts = demo_cut(build_optimal_1q())
+        with pytest.raises(InvalidInputError, match=message):
+            run_monte_carlo(demo_circuit(), cuts, PostProcess.parity(3), shots, seed)
+
+    def test_numpy_integer_shots_and_seed_report_as_python_ints(self):
+        """The report of numpy integer shots and seed is the report of the
+        same Python ints, and so serializes to the same JSON."""
+        circ, cuts, f = demo_circuit(), demo_cut(build_optimal_1q()), PostProcess.parity(3)
+        rep = run_monte_carlo(circ, cuts, f, np.int64(50), np.uint64(3)).to_json()
+        assert json.dumps(rep) == json.dumps(run_monte_carlo(circ, cuts, f, 50, 3).to_json())
 
     def test_cut_width_mismatch(self):
         from wirecut.channels import build_mub_default

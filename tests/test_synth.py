@@ -23,7 +23,7 @@ from wirecut.synth import (
     verify_diagonalizes_symplectic,
 )
 
-from oracles import dense_pauli, diagonalizes_dense, family_members
+from oracles import dense_circuit_unitary, dense_pauli, diagonalizes_dense, family_members
 
 
 def symplectic_conjugate(gate, p):
@@ -347,6 +347,28 @@ class TestAsapPacking:
             ]
         assert CliffordCircuit(n, circ.gates) == circ
         assert CliffordCircuit.parse(circ.text(), n) == circ
+
+
+class TestDenseRealization:
+    """circuit_unitary against the product of its gates' krons, entry by
+    entry: unlike U^dagger P U up to a phase, this tells S from S-dagger."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_cases().filter(lambda case: case[0] <= 5))
+    def test_random_circuits_match_the_kron_product(self, case):
+        n, gates, _ = case
+        circ = CliffordCircuit(n, gates)
+        np.testing.assert_allclose(
+            circuit_unitary(circ), dense_circuit_unitary(circ), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_synthesized_circuits_match_the_kron_product(self, n):
+        for fam in generate_partition(n).families[:-1]:
+            circ = synthesize(fam)
+            np.testing.assert_allclose(
+                circuit_unitary(circ), dense_circuit_unitary(circ), rtol=0, atol=1e-12
+            )
 
 
 def memberwise_verdict(circuit, family):

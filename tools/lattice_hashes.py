@@ -2,10 +2,16 @@
 cases, and the reprs of enumerate_estimator_mean and exact_expectation for
 each; exit 1 when the two differ by more than TOLERANCE in any case.
 
-Run from the repo root, with the package importable (an editable install or
-PYTHONPATH=src):
+Run it with the package importable (an editable install or
+PYTHONPATH=<tree>/src):
 
     python tools/lattice_hashes.py
+
+The tree is the one `wirecut` is imported from: its tests and demos are
+read from there, not from beside this file.  So one copy, kept anywhere,
+compares two trees:
+
+    PYTHONPATH=<tree>/src python lattice_hashes.py
 
 Each case's lattice is built in full, level by level, from every request
 the lattice can reach.  One line per case gives the digest of its interior
@@ -17,15 +23,16 @@ terminal row in its node store, and one that keeps its state beside the
 row, then print the same line for the same lattice.  Two trees that print
 the same digests build the same lattices bit for bit.  The digests depend
 on the BLAS and LAPACK the numpy build links, so compare them on one
-machine.  The tool uses only names that older trees have too, so one copy
-of it can compare two trees.
+machine.  The tool uses only names that older trees have too.
 """
 
 import hashlib
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import wirecut
+
+ROOT = Path(wirecut.__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT))
 
 from tests.test_estimator import deep_three_cut_case, level_requests, wide_mub_case  # noqa: E402
