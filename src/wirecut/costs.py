@@ -10,6 +10,7 @@ basis-change circuits versus their bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -29,6 +30,10 @@ class TimeModelParams:
     def __post_init__(self):
         if self.m < 0 or self.shots < 0:
             raise InvalidInputError("counts must be nonnegative")
+        for name, count in (("m", self.m), ("shots", self.shots)):
+            # the count is not printed: a long one exceeds int-to-str's digit limit
+            if count > sys.float_info.max:
+                raise InvalidInputError(f"{name} must be a finite double")
         for name, t in (("t_compile", self.t_compile), ("t_shot", self.t_shot)):
             # NaN passes a `t < 0` test, so finiteness is checked explicitly
             if not math.isfinite(t) or t < 0:
@@ -39,10 +44,14 @@ def predict_time(p: TimeModelParams) -> float:
     """Worst-case total execution time.
 
     All m channels get compiled when the shot budget allows (m <= N);
-    otherwise at most one compilation per shot can occur.
+    otherwise at most one compilation per shot can occur.  A time beyond the
+    largest double raises InvalidInputError.
     """
     compiled = p.m if p.m <= p.shots else p.shots
-    return compiled * p.t_compile + p.shots * p.t_shot
+    total = compiled * p.t_compile + p.shots * p.t_shot
+    if not math.isfinite(total):
+        raise InvalidInputError("the predicted time exceeds the largest double")
+    return total
 
 
 @dataclass(frozen=True)

@@ -469,6 +469,12 @@ def run_monte_carlo(
     )
 
 
+def _steps(cum: list[float]) -> list[float]:
+    """The steps of a cumulative row, the first from 0.0: the subtractions
+    np.diff(cum, prepend=0.0) makes, as Python floats."""
+    return [b - a for a, b in zip([0.0, *cum], cum)]
+
+
 def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProcess) -> float:
     """Zero-sampling-noise mean of the Monte-Carlo estimator: gamma * sign * f
     summed over every channel, outcome, prep and terminal outcome, each
@@ -482,24 +488,31 @@ def enumerate_estimator_mean(circuit: LayeredCircuit, cuts: CutSpec, f: PostProc
     # each level's paths, with the product of the signed probabilities along each
     paths, weights = [()], [1.0]
     for loc in engine.locations:
-        chan_probs = np.diff(loc.channel_cum, prepend=0.0)
-        prep_probs = np.diff(loc.prep_cum, prepend=0.0)
+        chan_probs = _steps(loc.channel_cum.tolist())
+        prep_probs = [[_steps(row) for row in rows] for rows in loc.prep_cum.tolist()]
+        factors = loc.factors.tolist()
         requests, next_weights = [], []
         for path, weight in zip(paths, weights):
-            for c in np.flatnonzero(chan_probs > 0).tolist():
-                out_probs = np.diff(engine.outcomes(path, c)[0], prepend=0.0)
-                for o in np.flatnonzero(out_probs > 0).tolist():
-                    w_out = weight * chan_probs[c] * loc.factors[c, o] * out_probs[o]
-                    for p in np.flatnonzero(prep_probs[c, o] > 0).tolist():
-                        requests.append((path, c, o, p))
-                        next_weights.append(w_out * prep_probs[c, o, p])
+            for c, chan_prob in enumerate(chan_probs):
+                if not chan_prob > 0:
+                    continue
+                for o, out_prob in enumerate(_steps(engine.outcomes(path, c)[0].tolist())):
+                    if not out_prob > 0:
+                        continue
+                    w_out = weight * chan_prob * factors[c][o] * out_prob
+                    for p, prep_prob in enumerate(prep_probs[c][o]):
+                        if prep_prob > 0:
+                            requests.append((path, c, o, p))
+                            next_weights.append(w_out * prep_prob)
         paths, weights = engine.children(requests), next_weights
     # leaf by leaf, so no leaves x 2^W stack exists and no product's rounding
     # hangs on its row count; a plain loop, not sum(), which compensates in 3.12
     total = 0.0
     for path, weight in zip(paths, weights):
-        probs = np.diff(engine.terminal_cums([path])[0], prepend=0.0)
-        total += float(weight * np.dot(probs, f.table))
+        row = engine._states[path]  # the leaf's cumulative terminal row
+        probs = row.copy()
+        probs[1:] -= row[:-1]
+        total += weight * float(np.dot(probs, f.table))
     return engine.gamma_total * total
 
 

@@ -139,18 +139,47 @@ def rotated(d, which, u=None):
 Z_TO_X = channels._pure_channel(1, [(1, basis_state(0, 2), PLUS), (1, basis_state(1, 2), MINUS)])
 
 
+SINGLE_PRODUCT_CASES = [
+    *(pytest.param(partial(built, *case), id="-".join(map(str, case)))
+      for case in DECOMPOSE_CASES),
+    pytest.param(lambda: rotated(built("mub", 4), range(17)), id="haar-rotated-mub-4"),
+    pytest.param(lambda: rotated(Decomposition(1, ((3, Z_TO_X), (1, Z_TO_X)), "zx"), [1]),
+                 id="z-measure-x-prepare"),
+]
+
+
+def parity_channel(n, parity):
+    """Measure in the computational basis and re-prepare the uniform mixture
+    of the basis states of the given parity, whatever the outcome.  The even
+    channel minus the odd one has a single nonzero transfer-matrix entry:
+    2 at row Z...Z, the last row, and column I."""
+    dim = 2**n
+    states = np.eye(dim)[np.bitwise_count(np.arange(dim)) % 2 == parity]
+    preps = np.broadcast_to(states, (dim, *states.shape))
+    return MPChannel(n, np.ones(dim, dtype=int), np.eye(dim), np.full(preps.shape[:2], 2 / dim),
+                     preps)
+
+
+def last_row_mutated(n=3, eps=1e-8):
+    """mub at width n plus eps times the even channel and -eps times the
+    odd one, so the sum is off the identity by 2 eps in its last row only."""
+    d = built("mub", n)
+    extra = ((eps, parity_channel(n, 0)), (-eps, parity_channel(n, 1)))
+    return Decomposition(n, d.channels + extra, d.label)
+
+
 class TestVerifyDecomposition:
     @pytest.mark.parametrize("build", REFERENCE_CASES)
     def test_matches_reference_sum(self, build):
         d = build()
         assert abs(verify_decomposition(d) - _reference_residual(d)) <= 1e-12
 
-    def test_residual_needs_the_accumulator_and_one_channels_stacks(self):
-        """At mub n = 5 the 4^n x 4^n accumulator is the only large array;
-        beside it come one channel's two complex (2^n, 4^n) Pauli stacks and
-        4 MiB for its dense terms, temporaries and the kept columns.  np.abs
-        into a new array, or the two dense 4^n x T stacks, would each add
-        8 MiB (numpy reports its buffers to tracemalloc)."""
+    def test_residual_needs_one_block_and_one_channels_stacks(self):
+        """At mub n = 5 the residual is swept through one 1 MiB row block;
+        beside it come one channel's dense terms and complex Pauli stacks
+        and the kept rows and columns of every group, 1 MiB or so each.
+        The 4^n x 4^n sum, 8 MiB, would alone break the bound (numpy
+        reports its buffers to tracemalloc)."""
         d = built("mub", 5)
         tracemalloc.start()
         try:
@@ -158,15 +187,9 @@ class TestVerifyDecomposition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 16**5 + 2 * 16 * 2**5 * 4**5 + (4 << 20)
+        assert peak < 7.5 * 2**20
 
-    @pytest.mark.parametrize("build", [
-        *(pytest.param(partial(built, *case), id="-".join(map(str, case)))
-          for case in DECOMPOSE_CASES),
-        pytest.param(lambda: rotated(built("mub", 4), range(17)), id="haar-rotated-mub-4"),
-        pytest.param(lambda: rotated(Decomposition(1, ((3, Z_TO_X), (1, Z_TO_X)), "zx"), [1]),
-                     id="z-measure-x-prepare"),
-    ])
+    @pytest.mark.parametrize("build", SINGLE_PRODUCT_CASES)
     def test_matches_single_product(self, build):
         """Grouped products over the supports read the residual of one dense
         product, mub n = 5 included.  Every channel of the Haar-rotated mub
@@ -176,6 +199,50 @@ class TestVerifyDecomposition:
         weight 3 makes the X <- Z entry the largest."""
         d = build()
         assert abs(verify_decomposition(d) - single_product_residual(d)) <= 1e-12
+
+    @pytest.mark.parametrize("method, n", DECOMPOSE_CASES)
+    def test_shared_pauli_rows_are_bit_identical(self, method, n):
+        """A channel that re-prepares what it measured gets one stack of
+        Pauli vectors for its preps and effects, equal bit for bit to the
+        vectors of its two dense stacks; every mub basis channel takes it."""
+        shared = 0
+        for _, ch in built(method, n).channels:
+            preps, effects = channels._pauli_rows(ch)
+            shared += preps is effects
+            dense_effects, dense_preps = ch.dense_terms()
+            assert preps.tobytes() == pauli_vector(dense_preps, n).real.tobytes()
+            assert effects.tobytes() == pauli_vector(dense_effects, n).real.tobytes()
+        if method == "mub":
+            assert shared == 2**n
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("build", SINGLE_PRODUCT_CASES)
+    def test_row_blocks_match_single_product(self, monkeypatch, build, rows):
+        """Row blocks of one row, and of three, which divides no 4^n, read
+        the single-product residual too."""
+        d = build()
+        monkeypatch.setattr(channels, "_BLOCK_BYTES", rows * 8 * 4**d.n)
+        assert abs(verify_decomposition(d) - single_product_residual(d)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_error_in_the_last_row_block_is_caught(self, monkeypatch, capsys, tmp_path, rows):
+        """The last row of the sum, the only one off the identity, lies in
+        the sweep's last block, which holds one row (64 = 21 * 3 + 1) at
+        blocks of one row or three; the default block holds them all."""
+        d = last_row_mutated()
+        total = sum(float(c) * ptm(ch) for c, ch in d.channels) - np.eye(4**d.n)
+        worst = np.unravel_index(np.argmax(np.abs(total)), total.shape)
+        assert worst == (4**d.n - 1, 0)
+        assert np.max(np.abs(total[:-1])) < 1e-12
+        if rows is not None:
+            monkeypatch.setattr(channels, "_BLOCK_BYTES", rows * 8 * 4**d.n)
+        residual = verify_decomposition(d)
+        assert abs(residual - single_product_residual(d)) <= 1e-12
+        assert residual >= 1e-9
+        path = tmp_path / "last_row.json"
+        channels.save_decomposition(d, path)
+        assert main(["verify", "--method", f"file:{path}"]) == 1
+        assert f"residual={residual!r}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda: reweighted(built("mub", 4), 0, 1 + 1e-8), id="weight_1e-8_off"),

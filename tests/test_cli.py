@@ -756,6 +756,20 @@ class TestBench:
         assert out == ""
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "tq, shots, field",
+        [("1", "1" + "0" * 400, "shots"), ("1e308", "10", "predicted time")],
+    )
+    def test_timemodel_beyond_a_double_exit_2(self, capsys, tq, shots, field):
+        """A count past the largest double, and a sum that overflows to inf,
+        exit 2 rather than raising or printing inf."""
+        code, out, err = run(
+            capsys, "bench", "timemodel", "--m", "3", "--tc", "1", "--tq", tq, "--shots", shots
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err and "Traceback" not in err
+
 
 class TestRangeErrors:
     """A width below the range is reported as a range, not as a cap."""
