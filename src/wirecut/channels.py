@@ -614,7 +614,8 @@ def decomposition_from_json(data: dict) -> Decomposition:
         raise InvalidInputError(f"field m is {data['m']}, but the file has {d.m} channels")
     if "gamma" in data:
         gamma = data["gamma"]
-        if type(gamma) not in (int, float) or not math.isclose(gamma, d.gamma, rel_tol=1e-12):
+        finite = type(gamma) in (int, float) and abs(gamma) <= sys.float_info.max
+        if not (finite and math.isclose(gamma, d.gamma, rel_tol=1e-12)):
             raise InvalidInputError(
                 f"field gamma is {gamma!r}, but the channels' weights give {float(d.gamma)!r}"
             )

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .pauli import PauliString, gf2_basis, gf2_independent, gf2_rank
+from .pauli import PauliString, _gf2_pivots, gf2_independent, gf2_rank
 
 MAX_PARTITION_QUBITS = 12
 
@@ -129,10 +129,11 @@ def _reversed_bits(n: int) -> tuple[int, ...]:
 
 def _sort_key(fam: CommutingFamily) -> int:
     """The family's smallest member as the bit vector (z_1..z_n, x_1..x_n),
-    position 1 most significant: the last vector of the reduced basis."""
+    position 1 most significant: the vector at the lowest pivot."""
     n = fam.n
     rev = _reversed_bits(n)  # bit q-1 of a mask is qubit q
-    return min(gf2_basis((rev[g.zbits] << n) | rev[g.xbits] for g in fam.generators))
+    pivots = _gf2_pivots((rev[g.zbits] << n) | rev[g.xbits] for g in fam.generators)
+    return pivots[min(pivots)]
 
 
 def check_generators(generators: Sequence[PauliString]) -> list[int]:

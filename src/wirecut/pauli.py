@@ -124,14 +124,11 @@ def pauli_vector(mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gf2_basis(vectors: Iterable[int]) -> list[int]:
-    """Fully reduced GF(2) basis of int-mask vectors, sorted descending.
-
-    No basis vector has another's leading bit set, so the basis is the
-    reduced row echelon form of the span: any two generating sets of one
-    span give the same list.
-    """
-    pivots: dict[int, int] = {}  # leading bit -> basis vector
+def _gf2_pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """Forward GF(2) elimination: {leading bit: vector}, one per dimension of
+    the span.  The vector at the lowest pivot has no other pivot bit, so it is
+    the span's least non-zero member and already fully reduced."""
+    pivots: dict[int, int] = {}
     for v in vectors:
         while v:
             top = v.bit_length() - 1
@@ -140,6 +137,14 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
                 pivots[top] = v
                 break
             v ^= b
+    return pivots
+
+
+def gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Fully reduced GF(2) basis of int-mask vectors, sorted descending: no
+    vector has another's leading bit set, so it is the reduced row echelon
+    form of the span, the same list for any two generating sets of one span."""
+    pivots = _gf2_pivots(vectors)
     order = sorted(pivots)
     # Ascending pivots: the lower vectors are already fully reduced, so each
     # carries exactly one pivot bit, and clearing the pivot bits v has below
@@ -159,7 +164,7 @@ def gf2_basis(vectors: Iterable[int]) -> list[int]:
 
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank over GF(2) of int-mask vectors."""
-    return len(gf2_basis(vectors))
+    return len(_gf2_pivots(vectors))
 
 
 def gf2_independent(vectors: Sequence[int]) -> bool:

@@ -12,6 +12,7 @@ exceeds n + 2 on a fully connected device.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
@@ -47,13 +48,6 @@ class Gate:
 
     def text(self) -> str:
         return " ".join([self.name, *map(str, self.qubits)])
-
-
-@functools.cache
-def _gate(name: str, *qubits: int) -> Gate:
-    """The Gate `name` on `qubits`, built and validated once per distinct gate:
-    synthesize asks for at most n (n + 3) / 2 of them at width n."""
-    return Gate(name, qubits)
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ class GateStats:
 
 
 def gate_stats(circuit: CliffordCircuit) -> GateStats:
-    names = [g.name for g in circuit.gates]
+    names = [g.name for layer in circuit.layers for g in layer]
     return GateStats(
         n_h=names.count("H"),
         n_s=names.count("SDG"),
@@ -189,35 +183,49 @@ def edge_color_cz(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[i
     return [r for r in rounds if r]
 
 
+@functools.cache
+def _width_gates(n: int) -> tuple[tuple[Gate, ...], tuple[dict[int, tuple[int, Gate]], ...]]:
+    """The n (n + 3) / 2 gates synthesize may ask for at width n, each built and
+    validated once, on first use, and shared read-only: the H gates, row j - 1 of
+    {1 << (k - 1): (layer, gate)} for k >= j, S-dagger on j in layer 0 for
+    k = j, CZ on (j, k) in layer i when round i of edge_color_cz's K_n has it."""
+    qubits = range(1, n + 1)
+    rows = tuple({1 << (j - 1): (0, Gate("SDG", (j,)))} for j in qubits)
+    for i, layer in enumerate(edge_color_cz(itertools.combinations(qubits, 2), n), 1):
+        for j, k in layer:
+            rows[j - 1][1 << (k - 1)] = (i, Gate("CZ", (j, k)))
+    return tuple(Gate("H", (q,)) for q in qubits), rows
+
+
 def synthesize(family: CommutingFamily) -> CliffordCircuit:
     """Build the basis-change circuit for one family via Gaussian elimination.
 
     Column operations bring the X-block of the generator matrix to the
     identity; the residual Z-block C, symmetric as the (commuting) columns
-    are, dictates the S-dagger and CZ gates.  Fails with SynthesisError when
-    the X-block is rank deficient, which happens exactly when the family
-    intersects the all-Z strings.
+    are, is read row by row: an S-dagger per unit diagonal entry and a CZ per
+    unit entry right of it, each straight into its layer, so a layer gets its
+    pairs in the ascending order edge_color_cz sorts them into.  Fails with
+    SynthesisError when the X-block is rank deficient, which happens exactly
+    when the family intersects the all-Z strings.
     """
     n = family.n
     # With the X bits high, a full-rank X-block puts every pivot in the X half,
     # so the reduced basis, reversed, has the identity as its X-block.
-    basis = gf2_basis((g.xbits << n) | g.zbits for g in family.generators)
-    if any(v >> n == 0 for v in basis):
+    basis = gf2_basis([(g.xbits << n) | g.zbits for g in family.generators])
+    if basis[-1] >> n == 0:  # the least vector: the first to lack X bits
         raise SynthesisError("X-block is rank deficient; family overlaps the all-Z strings")
-    cols = basis[::-1]  # column j: X part is qubit j + 1 alone; bit i is C[i][j]
-
-    gates = [_gate("H", q) for q in range(1, n + 1)]
-    gates += [_gate("SDG", k) for k in range(1, n + 1) if cols[k - 1] >> (k - 1) & 1]
-    cz_pairs = []  # (l, m) for l < m with C[l][m] = 1, read off column m's low bits
-    for m in range(2, n + 1):
-        below = cols[m - 1] & ((1 << (m - 1)) - 1)
-        while below:
-            low = below & -below
-            cz_pairs.append((low.bit_length(), m))
-            below ^= low
-    for layer in edge_color_cz(cz_pairs, n):
-        gates += [_gate("CZ", *pair) for pair in layer]
-    circuit = CliffordCircuit(n, gates)
+    h, rows = _width_gates(n)
+    layers: list[list[Gate]] = [[] for _ in range(n + 1)]  # S-dagger, then <= n rounds
+    z_part = (1 << n) - 1
+    for j, col in enumerate(reversed(basis)):  # X part of column j: qubit j + 1 alone
+        row = (col & z_part) >> j << j  # row j of C from the diagonal on
+        table = rows[j]
+        while row:
+            low = row & -row
+            i, gate = table[low]
+            layers[i].append(gate)
+            row ^= low
+    circuit = CliffordCircuit(n, itertools.chain(h, *layers))
     if circuit.depth > n + 2:
         raise SynthesisError("depth bound n + 2 violated")
     return circuit

@@ -5,16 +5,18 @@ serve small n only: a Pauli string's matrix, a circuit's matrix as the
 product of its gates' krons, the check that a circuit turns every member
 of a family into a signed Z-string, how far a set of bases is from
 mutually unbiased, and a decomposition's transfer-matrix residual as one
-product of two dense stacks.  Two are bit-level references instead: the
-symplectic commutation test of two Pauli strings, and the GF(2)
-reduction that back-substitutes over every lower pivot.
+product of two dense stacks.  Three are bit-level references instead:
+the symplectic commutation test of two Pauli strings, the GF(2)
+reduction that back-substitutes over every lower pivot, and the
+synthesis schedule that reads the CZ pairs column by column and sorts
+them through edge_color_cz.
 """
 
 import numpy as np
 
-from wirecut.errors import InvalidInputError
-from wirecut.pauli import PauliString, pauli_vector
-from wirecut.synth import circuit_unitary
+from wirecut.errors import InvalidInputError, SynthesisError
+from wirecut.pauli import PauliString, gf2_basis, pauli_vector
+from wirecut.synth import CliffordCircuit, Gate, circuit_unitary, edge_color_cz
 
 _LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -153,3 +155,21 @@ def single_product_residual(d):
         effects.append(float(c) * ch.signs[:, None] * pauli_vector(dense_effects, d.n).real)
     total = np.concatenate(preps).T @ np.concatenate(effects)
     return float(np.max(np.abs(total - np.eye(4**d.n))))
+
+
+def reference_synthesize(family):
+    """The basis-change circuit of a family, the plain way: reduce the
+    X-block to the identity, then H on every qubit, S-dagger where C's
+    diagonal is 1, and a CZ per unit entry above it, the pairs read column
+    by column and scheduled by edge_color_cz."""
+    n = family.n
+    basis = gf2_basis((g.xbits << n) | g.zbits for g in family.generators)
+    if any(v >> n == 0 for v in basis):
+        raise SynthesisError("X-block is rank deficient")
+    cols = basis[::-1]  # column j: X part is qubit j + 1 alone; bit i is C[i][j]
+    gates = [Gate("H", (q,)) for q in range(1, n + 1)]
+    gates += [Gate("SDG", (k,)) for k in range(1, n + 1) if cols[k - 1] >> (k - 1) & 1]
+    pairs = [(l, m) for m in range(2, n + 1) for l in range(1, m) if cols[m - 1] >> (l - 1) & 1]
+    for layer in edge_color_cz(pairs, n):
+        gates += [Gate("CZ", pair) for pair in layer]
+    return CliffordCircuit(n, gates)

@@ -190,7 +190,8 @@ class TestVerify:
     @pytest.mark.parametrize("field, value, message", [
         ("gamma", 999, "field gamma is 999, but the channels' weights give 7.0"),
         ("m", 1, "field m is 1, but the file has 5 channels"),
-    ], ids=["gamma", "m"])
+        ("gamma", 10**400, f"field gamma is {10**400}, but the channels' weights give 7.0"),
+    ], ids=["gamma", "m", "gamma beyond a double"])
     def test_file_stating_another_gamma_or_m_exit_2(
         self, capsys, tmp_path, command, field, value, message
     ):

@@ -168,3 +168,22 @@ def test_circuit_texts_and_member_keys_pinned_to_n10():
     assert texts.hexdigest() == CIRCUIT_TEXTS_SHA256
     assert keys.hexdigest() == MEMBER_KEYS_SHA256
     assert counts.hexdigest() == LAYER_COUNTS_SHA256
+
+
+# sha256 over n = 1..N of each width's generator table, one family per line,
+# then of each synthesized circuit's depth and text(): integers and text only,
+# so the same on every platform.  Recorded before synthesize read its CZ
+# pairs off the rows of C; CI checks the N = 12 value, 765e7461...fe6.
+PIPELINE_N10_SHA256 = "333d06db7af12448d02f3ecbd2e19eb5500f61cc602d0a1925ddf6d8585cd44b"
+
+
+def test_pipeline_digest_pinned_to_n10():
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        fams = generate_partition(n).families
+        for fam in fams:
+            digest.update((" ".join(g.label for g in fam.generators) + "\n").encode())
+        for fam in fams[:-1]:
+            circ = synthesize(fam)
+            digest.update(f"{circ.depth}\n{circ.text()}".encode())
+    assert digest.hexdigest() == PIPELINE_N10_SHA256

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from wirecut.errors import InvalidInputError
 from wirecut.pauli import (
     PauliString,
+    _gf2_pivots,
     gf2_basis,
     gf2_independent,
     gf2_rank,
@@ -238,6 +239,17 @@ class TestGF2Properties:
     @given(st.lists(st.integers(0, 2**24 - 1), max_size=14))
     def test_basis_equals_the_all_pivots_reduction(self, vectors):
         assert gf2_basis(vectors) == gf2_basis_all_pivots(vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**24 - 1), max_size=14))
+    def test_rank_and_lowest_pivot_read_off_the_basis(self, vectors):
+        """The forward elimination alone gives the rank, and at its lowest
+        pivot the least basis vector."""
+        basis = gf2_basis(vectors)
+        assert gf2_rank(vectors) == len(basis)
+        if basis:
+            pivots = _gf2_pivots(vectors)
+            assert pivots[min(pivots)] == min(basis)
 
     @settings(max_examples=300, deadline=None)
     @given(row_masks)

@@ -23,7 +23,13 @@ from wirecut.synth import (
     verify_diagonalizes_symplectic,
 )
 
-from oracles import dense_circuit_unitary, dense_pauli, diagonalizes_dense, family_members
+from oracles import (
+    dense_circuit_unitary,
+    dense_pauli,
+    diagonalizes_dense,
+    family_members,
+    reference_synthesize,
+)
 
 
 def symplectic_conjugate(gate, p):
@@ -217,6 +223,11 @@ class TestSynthesizedPartitions:
             assert circ.depth <= n + 2
             assert verify_diagonalizes_symplectic(circ, fam)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_all_families_match_the_reference_schedule(self, n):
+        for fam in generate_partition(n).families[:-1]:
+            assert synthesize(fam) == reference_synthesize(fam)
+
     def test_gate_count_bench_counts_scheduled_circuits(self, monkeypatch):
         counted = []
 
@@ -275,6 +286,7 @@ class TestSynthesisProperties:
         fam, regenerated = families
         circ = synthesize(regenerated)
         assert circ == synthesize(fam)
+        assert circ == reference_synthesize(regenerated)
         assert verify_diagonalizes_symplectic(circ, regenerated)
         assert circ.depth <= fam.n + 2
 
